@@ -30,7 +30,7 @@ from .model import (
     responsibilities,
     sample_latent,
 )
-from .numgrad import Graph, GraphError, NumericError, ParamStore, adam_step, backward, forward
+from .numgrad import Graph, GraphError, NumericError, ParamStore, backward, forward
 from .training import (
     KMeansResult,
     TrainConfig,

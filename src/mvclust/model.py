@@ -13,10 +13,15 @@ a closed-form evidence lower bound built from four terms: per-view
 reconstruction, a responsibility-weighted Gaussian cross term, a
 categorical term sum_c gamma_c * log(pi_c / gamma_c), and the posterior
 entropy term 0.5 * sum_j (1 + log sigma2_j).
+
+Fusion and the responsibilities gamma are defined once, by the node builders
+``fusion_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
+``fuse_posteriors`` and ``responsibilities`` forward small graphs of them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -171,46 +176,47 @@ def _layer_widths(config: ModelConfig, view: int):
     return enc, dec
 
 
+def _dense_layers(config: ModelConfig):
+    """(naming function, view, index, fan_in, fan_out, is_head) of every dense layer."""
+    for v in range(config.n_views):
+        for name, widths in zip((_enc, _dec), _layer_widths(config, v)):
+            for i in range(len(widths) - 1):
+                yield name, v, i, widths[i], widths[i + 1], i == len(widths) - 2
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: every name and its shape, in parameter order."""
+    shapes = {}
+    for name, v, i, fan_in, fan_out, _ in _dense_layers(config):
+        shapes[name(v, i, "w")] = (fan_in, fan_out)
+        shapes[name(v, i, "b")] = (fan_out,)
+    K, J = config.n_clusters, config.latent_dim
+    shapes.update(fusion_logits=(config.n_views,), mix_logits=(K,), gmm_means=(K, J), gmm_logvars=(K, J))
+    return shapes
+
+
 def init_params(config: ModelConfig, seed: int) -> ParamStore:
     """He-initialized hidden layers, small linear heads, zeroed log-variance
     head columns (so every variance starts at 1)."""
     params = ParamStore()
-    J = config.latent_dim
-    for v in range(config.n_views):
-        enc_w, dec_w = _layer_widths(config, v)
-        for i in range(len(enc_w) - 1):
-            fan_in, fan_out = enc_w[i], enc_w[i + 1]
-            rng = rng_for(seed, "init-enc", v, i)
-            last = i == len(enc_w) - 2
-            scale = math.sqrt(1.0 / fan_in) if last else math.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, scale, size=(fan_in, fan_out))
-            if last:
-                w[:, J:] = 0.0
-            params.add(_enc(v, i, "w"), w)
-            params.add(_enc(v, i, "b"), np.zeros(fan_out))
-        for i in range(len(dec_w) - 1):
-            fan_in, fan_out = dec_w[i], dec_w[i + 1]
-            rng = rng_for(seed, "init-dec", v, i)
-            last = i == len(dec_w) - 2
-            scale = math.sqrt(1.0 / fan_in) if last else math.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, scale, size=(fan_in, fan_out))
-            if last and config.likelihood == "gaussian":
-                w[:, config.view_dims[v] :] = 0.0
-            params.add(_dec(v, i, "w"), w)
-            params.add(_dec(v, i, "b"), np.zeros(fan_out))
-    params.add("fusion_logits", np.zeros(config.n_views))
-    params.add("mix_logits", np.zeros(config.n_clusters))
-    rng = rng_for(seed, "init-gmm")
-    params.add("gmm_means", 0.01 * rng.normal(size=(config.n_clusters, J)))
-    params.add("gmm_logvars", np.zeros((config.n_clusters, J)))
+    for name, shape in param_shapes(config).items():
+        params.add(name, np.zeros(shape))
+    for name, v, i, fan_in, fan_out, head in _dense_layers(config):
+        scale = math.sqrt(1.0 / fan_in) if head else math.sqrt(2.0 / fan_in)
+        rng = rng_for(seed, "init-enc" if name is _enc else "init-dec", v, i)
+        w = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        if head and (name is _enc or config.likelihood == "gaussian"):
+            w[:, fan_out // 2 :] = 0.0  # the log-variance half of a (mean, log-variance) head
+        params.set_value(name(v, i, "w"), w)
+    params.set_value("gmm_means", 0.01 * rng_for(seed, "init-gmm").normal(size=params["gmm_means"].shape))
     return params
 
 
 # -- graph builders -----------------------------------------------------------
 
 
-def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str) -> tuple[str, str]:
-    """Append the view encoder to ``g``; returns (mean, clamped log-variance)."""
+def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str, names=(None, None)) -> tuple[str, str]:
+    """Append the view encoder to ``g``; returns (mean, clamped log-variance) named ``names``."""
     widths, _ = _layer_widths(config, view)
     h = x
     for i in range(len(widths) - 1):
@@ -220,13 +226,13 @@ def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str) -> tuple[str
         if i < len(widths) - 2:
             h = g.relu(h)
     J = config.latent_dim
-    mu = g.slice(h, axis=1, start=0, stop=J)
-    logvar = g.clip(g.slice(h, axis=1, start=J, stop=2 * J), LOGVAR_MIN, LOGVAR_MAX)
+    mu = g.slice(h, axis=1, start=0, stop=J, name=names[0])
+    logvar = g.clip(g.slice(h, axis=1, start=J, stop=2 * J), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
     return mu, logvar
 
 
-def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str):
-    """Append the view decoder; returns the Bernoulli mean, or (mean, logvar)."""
+def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None, None)):
+    """Append the view decoder; returns the Bernoulli mean, or (mean, logvar), named ``names``."""
     _, widths = _layer_widths(config, view)
     h = z
     for i in range(len(widths) - 1):
@@ -237,37 +243,41 @@ def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str):
             h = g.relu(h)
     d = config.view_dims[view]
     if config.likelihood == "bernoulli":
-        return g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
-    mu = g.slice(h, axis=1, start=0, stop=d)
-    logvar = g.clip(g.slice(h, axis=1, start=d, stop=2 * d), LOGVAR_MIN, LOGVAR_MAX)
+        return g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, name=names[0])
+    mu = g.slice(h, axis=1, start=0, stop=d, name=names[0])
+    logvar = g.clip(g.slice(h, axis=1, start=d, stop=2 * d), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
     return mu, logvar
 
 
 def build_encoder_graph(config: ModelConfig, view: int) -> Graph:
     g = Graph()
-    x = g.input("x")
-    mu, logvar = encoder_nodes(g, config, view, x)
-    g.affine(mu, name="mu")
-    g.affine(logvar, name="logvar")
+    encoder_nodes(g, config, view, g.input("x"), names=("mu", "logvar"))
     return g
 
 
 def build_decoder_graph(config: ModelConfig, view: int) -> Graph:
     g = Graph()
-    z = g.input("z")
-    out = decoder_nodes(g, config, view, z)
-    if config.likelihood == "bernoulli":
-        g.affine(out, name="mu")
-    else:
-        g.affine(out[0], name="mu")
-        g.affine(out[1], name="logvar")
+    decoder_nodes(g, config, view, g.input("z"), names=("mu", "logvar"))
     return g
 
 
-def _gamma_nodes(g: Graph, config: ModelConfig, z: str, log_pi: str, means: str, logvars: str) -> str:
+def fusion_nodes(g: Graph, per_view, w: str) -> tuple[str, str]:
+    """Convex combination of per-view (mean, variance) node pairs under the
+    (m,) weight node ``w``; returns the fused (mean, variance)."""
+    mu_t = None
+    var_t = None
+    for v, (mu_v, var_v) in enumerate(per_view):
+        w_v = g.slice(w, axis=0, start=v, stop=v + 1)  # (1,)
+        mu_term = g.mul(mu_v, w_v)
+        var_term = g.mul(var_v, w_v)
+        mu_t = mu_term if mu_t is None else g.add(mu_t, mu_term)
+        var_t = var_term if var_t is None else g.add(var_t, var_term)
+    return mu_t, var_t
+
+
+def _gamma_nodes(g: Graph, J: int, z: str, log_pi: str, means: str, logvars: str) -> str:
     """Posterior cluster probabilities of z under the mixture, floored and
     renormalized; log-sum-exp normalization happens in log space."""
-    J = config.latent_dim
     z_e = g.expand_dims(z, axis=1)  # (B, 1, J)
     diff2 = g.square(g.sub(z_e, means))  # (B, K, J)
     inv_var = g.exp(g.affine(logvars, scale=-1.0))  # (K, J)
@@ -304,14 +314,7 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
 
     fusion = g.param("fusion_logits")
     w = g.exp(g.sub(fusion, g.logsumexp(fusion)))  # (m,)
-    mu_t = None
-    var_t = None
-    for v, (mu_v, logvar_v) in enumerate(per_view):
-        w_v = g.slice(w, axis=0, start=v, stop=v + 1)  # (1,)
-        mu_term = g.mul(mu_v, w_v)
-        var_term = g.mul(g.exp(logvar_v), w_v)
-        mu_t = mu_term if mu_t is None else g.add(mu_t, mu_term)
-        var_t = var_term if var_t is None else g.add(var_t, var_term)
+    mu_t, var_t = fusion_nodes(g, [(mu_v, g.exp(logvar_v)) for mu_v, logvar_v in per_view], w)
     sigma_t = g.sqrt(var_t)
 
     mix = g.param("mix_logits")
@@ -326,7 +329,7 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
     recon_l, gauss_l, cat_l = [], [], []
     for l in range(n_samples):
         z = g.add(mu_t, g.mul(sigma_t, eps[l]))
-        gamma = _gamma_nodes(g, config, z, log_pi, means, logvars)
+        gamma = _gamma_nodes(g, J, z, log_pi, means, logvars)
 
         ratio = g.div(g.expand_dims(var_t, axis=1), var_c)  # (B, K, J)
         sq = g.div(g.square(g.sub(g.expand_dims(mu_t, axis=1), means)), var_c)
@@ -411,14 +414,14 @@ class Model:
             variances=np.exp(logvars),
         )
 
-    def save(self, directory) -> None:
+    def save(self, directory, include_moments=False) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         descriptor = {"format_version": 1, "model": self.config.to_dict()}
         if self.normalization is not None:
             descriptor["normalization"] = self.normalization.to_dict()
         (directory / DESCRIPTOR_FILE).write_text(json.dumps(descriptor, indent=2) + "\n")
-        self.params.save(directory / PARAMS_FILE, include_moments=False)
+        self.params.save(directory / PARAMS_FILE, include_moments=include_moments)
 
     @classmethod
     def load(cls, directory) -> "Model":
@@ -428,9 +431,8 @@ class Model:
         descriptor = json.loads((directory / DESCRIPTOR_FILE).read_text())
         config = ModelConfig.from_dict(descriptor["model"])
         params = ParamStore.load(directory / PARAMS_FILE)
-        expected = init_params(config, 0)
-        same_names = set(params.names()) == set(expected.names())
-        if not same_names or any(params[n].shape != expected[n].shape for n in expected.names()):
+        expected = param_shapes(config)
+        if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):
             raise ValueError(f"parameter archive does not match descriptor in {directory}")
         norm = descriptor.get("normalization")
         normalization = NormalizationRecord.from_dict(norm) if norm else None
@@ -458,21 +460,26 @@ def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:
     return values["mu"], values["logvar"]
 
 
+@functools.cache
+def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
+    g = Graph()
+    per_view = [(g.input(f"mu{v}"), g.input(f"var{v}")) for v in range(n_views)]
+    return g, *fusion_nodes(g, per_view, g.input("w"))
+
+
 def fuse_posteriors(per_view, weights: FusionWeights) -> LatentPosterior:
     """Convex combination of per-view (mean, variance) pairs."""
     w = weights.weights
     if len(per_view) != w.shape[0]:
         raise ValueError(f"expected {w.shape[0]} views, got {len(per_view)} (all views are required)")
-    mu = None
-    var = None
+    inputs = {"w": w}
     for v, (mu_v, var_v) in enumerate(per_view):
-        mu_v = as_tensor(mu_v)
-        var_v = as_tensor(var_v)
-        if np.any(var_v <= 0):
+        inputs[f"mu{v}"], inputs[f"var{v}"] = mu_v, as_tensor(var_v)
+        if np.any(inputs[f"var{v}"] <= 0):
             raise ValueError(f"view {v} variances must be positive")
-        mu = w[v] * mu_v if mu is None else mu + w[v] * mu_v
-        var = w[v] * var_v if var is None else var + w[v] * var_v
-    return LatentPosterior(mu, var)
+    g, mu, var = _fusion_graph(len(per_view))
+    values = forward(g, inputs)
+    return LatentPosterior(values[mu], values[var])
 
 
 def sample_latent(posterior: LatentPosterior, noise) -> np.ndarray:
@@ -495,6 +502,12 @@ def decode_gaussian(model: Model, view: int, z) -> tuple[np.ndarray, np.ndarray]
     return values["mu"], values["logvar"]
 
 
+@functools.cache
+def _gamma_graph(J: int) -> tuple[Graph, str]:
+    g = Graph()
+    return g, _gamma_nodes(g, J, *(g.input(name) for name in ("z", "log_pi", "means", "logvars")))
+
+
 def responsibilities(z, prior: GmmPrior) -> np.ndarray:
     """Posterior cluster probabilities gamma_c for each z row.
 
@@ -507,15 +520,10 @@ def responsibilities(z, prior: GmmPrior) -> np.ndarray:
     z2 = z_arr[None, :] if single else z_arr
     if z2.ndim != 2 or z2.shape[1] != prior.means.shape[1]:
         raise ValueError(f"z must be (n, {prior.means.shape[1]})")
-    logvar = np.log(prior.variances)  # (K, J)
-    diff2 = (z2[:, None, :] - prior.means[None, :, :]) ** 2
-    log_n = -0.5 * (prior.means.shape[1] * LOG_2PI + logvar.sum(axis=1) + (diff2 / prior.variances).sum(axis=2))
-    lw = np.log(prior.weights) + log_n
-    m = lw.max(axis=1, keepdims=True)
-    lw = lw - (np.log(np.exp(lw - m).sum(axis=1, keepdims=True)) + m)
-    gamma = np.clip(np.exp(lw), GAMMA_FLOOR, 1.0)
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma[0] if single else gamma
+    g, gamma = _gamma_graph(prior.means.shape[1])
+    inputs = {"z": z2, "log_pi": np.log(prior.weights), "means": prior.means, "logvars": np.log(prior.variances)}
+    out = forward(g, inputs)[gamma]
+    return out[0] if single else out
 
 
 def fused_posterior(model: Model, views) -> LatentPosterior:

@@ -1,14 +1,13 @@
 """Tensor graphs, reverse-mode differentiation and the Adam optimizer."""
 
 from .graph import Graph, GraphError, NumericError, as_tensor, backward, forward
-from .params import ParamStore, adam_step
+from .params import ParamStore
 
 __all__ = [
     "Graph",
     "GraphError",
     "NumericError",
     "ParamStore",
-    "adam_step",
     "as_tensor",
     "backward",
     "forward",

@@ -76,7 +76,7 @@ class ParamStore:
         p = self._params[name]
         p.grad += g
 
-    def adam_step(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8, names=None) -> None:
+    def adam_step(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8) -> None:
         """One Adam update from the current gradients; gradients are left intact."""
         if not learning_rate > 0:
             raise ValueError("learning_rate must be positive")
@@ -87,8 +87,7 @@ class ParamStore:
         t = self.step + 1
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
-        for name in self._params if names is None else names:
-            p = self._params[name]
+        for p in self._params.values():
             p.m *= beta1
             p.m += (1.0 - beta1) * p.grad
             p.v *= beta2
@@ -159,10 +158,11 @@ class ParamStore:
             nbytes = 8 * size
 
             def take():
+                # a read-only view: add() and the moment assignments copy it once
                 nonlocal offset
                 arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
                 offset += nbytes
-                return arr.astype(np.float64)
+                return arr
 
             store.add(name, take())
             if flags & _FLAG_MOMENTS:
@@ -171,8 +171,3 @@ class ParamStore:
                 p.v[...] = take()
         return store
 
-
-def adam_step(params: ParamStore, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8, names=None) -> ParamStore:
-    """Functional spelling of :meth:`ParamStore.adam_step`; updates in place."""
-    params.adam_step(learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon, names=names)
-    return params

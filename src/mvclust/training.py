@@ -15,13 +15,13 @@ from .data import MultiViewDataset, batch_iter, normalize
 from .model import (
     Model,
     ModelConfig,
-    _dec,
     _enc,
     _layer_widths,
     assign_clusters,
     decoder_nodes,
     encoder_nodes,
     fused_posterior,
+    param_shapes,
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
 from .seeding import rng_for
@@ -274,8 +274,7 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             code = current @ store["w"] + store["b"]
             current = code if is_head else np.maximum(code, 0.0)
 
-        view_names = [_enc(v, i, k) for i in range(len(enc_widths) - 1) for k in ("w", "b")]
-        view_names += [_dec(v, i, k) for i in range(len(_layer_widths(mcfg, v)[1]) - 1) for k in ("w", "b")]
+        view_names = [name for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))]
         store = ParamStore()
         for name in view_names:
             store.add(name, model.params[name])
@@ -357,8 +356,7 @@ def _prepare_dataset(dataset: MultiViewDataset, config: TrainConfig):
 
 def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metrics_history) -> None:
     directory = Path(directory)
-    model.save(directory)
-    model.params.save(directory / "params.bin", include_moments=True)
+    model.save(directory, include_moments=True)
     state = {
         "format_version": 1,
         "epoch_next": epoch_next,

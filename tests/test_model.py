@@ -12,6 +12,7 @@ from mvclust import (
     LatentPosterior,
     Model,
     ModelConfig,
+    ParamStore,
     assign_clusters,
     decode_bernoulli,
     decode_gaussian,
@@ -121,6 +122,22 @@ def test_fuse_permuting_views_with_weights_is_invariant():
     post_p = fuse_posteriors([stats[i] for i in perm], FusionWeights(logits[perm]))
     assert post_p.mean == pytest.approx(post.mean, abs=1e-12)
     assert post_p.var == pytest.approx(post.var, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_views", range(1, 7))
+def test_fuse_equals_numpy_convex_combination_exactly(n_views):
+    # init_gmm's k-means runs on these means, so fusion must not drift by an ulp
+    rng = np.random.default_rng(40 + n_views)
+    logits = 3.0 * rng.standard_normal(n_views)
+    stats = [(rng.standard_normal((7, 4)), rng.uniform(0.1, 2.0, (7, 4))) for _ in range(n_views)]
+    post = fuse_posteriors(stats, FusionWeights(logits))
+    w = FusionWeights(logits).weights
+    mu, var = w[0] * stats[0][0], w[0] * stats[0][1]
+    for v in range(1, n_views):
+        mu = mu + w[v] * stats[v][0]
+        var = var + w[v] * stats[v][1]
+    assert np.array_equal(post.mean, mu)
+    assert np.array_equal(post.var, var)
 
 
 def test_fuse_missing_view_and_bad_variance():
@@ -618,6 +635,42 @@ def test_model_archive_roundtrip(tmp_path):
     for name in model.params.names():
         assert np.array_equal(loaded.params[name], model.params[name])
     assert np.array_equal(assign_clusters(loaded, views), labels)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_inference_graphs_emit_heads_without_renames(kind):
+    model = zero_model(tiny_config(kind))
+    enc, dec = model.encoder_graph(0), model.decoder_graph(1)
+    assert enc.inputs == ["x"] and {"mu", "logvar"} <= {node.name for node in enc.nodes}
+    assert ({"mu"} if kind == "bernoulli" else {"mu", "logvar"}) <= {node.name for node in dec.nodes}
+    assert all(node.op != "affine" for node in enc.nodes + dec.nodes)
+
+
+def test_model_load_checks_shapes_without_building_a_model(tmp_path, monkeypatch):
+    import mvclust.model
+
+    model = randomized_model(tiny_config("gaussian"), seed=32)
+    model.save(tmp_path / "m")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Model.load must not initialize a model")
+
+    monkeypatch.setattr(mvclust.model, "init_params", refuse)
+    loaded = Model.load(tmp_path / "m")
+    for name in model.params.names():
+        assert np.array_equal(loaded.params[name], model.params[name])
+
+
+def test_model_archive_wrong_shape_detected(tmp_path):
+    model = randomized_model(tiny_config("gaussian"), seed=33)
+    model.save(tmp_path / "m")
+    store = ParamStore()
+    for name in model.params.names():
+        value = model.params[name]
+        store.add(name, np.zeros(value.shape[0] + 1) if name == "enc1_b0" else value)
+    store.save(tmp_path / "m" / "params.bin", include_moments=False)
+    with pytest.raises(ValueError, match="archive"):
+        Model.load(tmp_path / "m")
 
 
 def test_model_archive_mismatch_detected(tmp_path):

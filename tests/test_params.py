@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvclust import ParamStore, adam_step
+from mvclust import ParamStore
 
 
 def _store_with(name="p", value=None):
@@ -84,17 +84,6 @@ def test_adam_hyperparameter_validation():
     ):
         with pytest.raises(ValueError):
             store.adam_step(**kwargs)
-
-
-def test_adam_subset_update():
-    store = ParamStore()
-    store.add("a", np.zeros(2))
-    store.add("b", np.zeros(2))
-    store.accumulate_grad("a", np.ones(2))
-    store.accumulate_grad("b", np.ones(2))
-    adam_step(store, 0.1, names=["a"])
-    assert np.all(store["a"] != 0.0)
-    assert np.all(store["b"] == 0.0)
 
 
 def test_checkpoint_roundtrip_is_bit_identical(tmp_path):

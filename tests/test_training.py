@@ -10,6 +10,7 @@ from mvclust import (
     Model,
     ModelConfig,
     NumericError,
+    ParamStore,
     TrainConfig,
     init_gmm,
     kmeans,
@@ -19,7 +20,7 @@ from mvclust import (
     train,
 )
 from mvclust.model import softmax
-from mvclust.training import _lloyd, load_checkpoint
+from mvclust.training import _lloyd, load_checkpoint, save_checkpoint
 
 from helpers import tiny_config
 
@@ -355,6 +356,23 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path):
     assert resumed.elbo_history == full.elbo_history
     for name in full.model.params.names():
         assert np.array_equal(resumed.model.params[name], full.model.params[name])
+
+
+def test_save_checkpoint_writes_parameters_once(tmp_path, monkeypatch):
+    model = Model.initialize(tiny_config("gaussian"), 0)
+    model.params.step = 3
+    calls = []
+    original = ParamStore.save
+
+    def counted(self, path, include_moments=True):
+        calls.append(include_moments)
+        original(self, path, include_moments=include_moments)
+
+    monkeypatch.setattr(ParamStore, "save", counted)
+    save_checkpoint(tmp_path / "ckpt", model, 1, [-1.0], [])
+    assert calls == [True]
+    loaded, epoch_next, history, _ = load_checkpoint(tmp_path / "ckpt")
+    assert (epoch_next, history, loaded.params.step) == (1, [-1.0], 3)
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
