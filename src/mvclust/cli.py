@@ -83,7 +83,10 @@ def cmd_train(args) -> int:
     (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
 
     print(f"elbo: {result.elbo_history[-1]:.6f}" if result.elbo_history else "elbo: nan")
-    scores = evaluate(result.model, dataset) if dataset.labels is not None else None
+    # train() already scored its last epoch; only score again when it did not
+    scores = result.final_metrics
+    if scores is None or scores["epoch"] != config.epochs - 1:
+        scores = evaluate(result.model, dataset)
     if scores is not None:
         report = _metrics_report(scores)
         (out / "metrics.txt").write_text(report)

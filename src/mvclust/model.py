@@ -198,18 +198,16 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: ModelConfig, seed: int) -> ParamStore:
     """He-initialized hidden layers, small linear heads, zeroed log-variance
     head columns (so every variance starts at 1)."""
-    params = ParamStore()
-    for name, shape in param_shapes(config).items():
-        params.add(name, np.zeros(shape))
+    values = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
     for name, v, i, fan_in, fan_out, head in _dense_layers(config):
         scale = math.sqrt(1.0 / fan_in) if head else math.sqrt(2.0 / fan_in)
         rng = rng_for(seed, "init-enc" if name is _enc else "init-dec", v, i)
         w = rng.normal(0.0, scale, size=(fan_in, fan_out))
         if head and (name is _enc or config.likelihood == "gaussian"):
             w[:, fan_out // 2 :] = 0.0  # the log-variance half of a (mean, log-variance) head
-        params.set_value(name(v, i, "w"), w)
-    params.set_value("gmm_means", 0.01 * rng_for(seed, "init-gmm").normal(size=params["gmm_means"].shape))
-    return params
+        values[name(v, i, "w")] = w
+    values["gmm_means"] = 0.01 * rng_for(seed, "init-gmm").normal(size=values["gmm_means"].shape)
+    return ParamStore(values.items())
 
 
 # -- graph builders -----------------------------------------------------------
@@ -220,11 +218,7 @@ def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str, names=(None,
     widths, _ = _layer_widths(config, view)
     h = x
     for i in range(len(widths) - 1):
-        w = g.param(_enc(view, i, "w"))
-        b = g.param(_enc(view, i, "b"))
-        h = g.add(g.matmul(h, w), b)
-        if i < len(widths) - 2:
-            h = g.relu(h)
+        h = g.linear(h, g.param(_enc(view, i, "w")), g.param(_enc(view, i, "b")), relu=i < len(widths) - 2)
     J = config.latent_dim
     mu = g.slice(h, axis=1, start=0, stop=J, name=names[0])
     logvar = g.clip(g.slice(h, axis=1, start=J, stop=2 * J), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
@@ -236,11 +230,7 @@ def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None,
     _, widths = _layer_widths(config, view)
     h = z
     for i in range(len(widths) - 1):
-        w = g.param(_dec(view, i, "w"))
-        b = g.param(_dec(view, i, "b"))
-        h = g.add(g.matmul(h, w), b)
-        if i < len(widths) - 2:
-            h = g.relu(h)
+        h = g.linear(h, g.param(_dec(view, i, "w")), g.param(_dec(view, i, "b")), relu=i < len(widths) - 2)
     d = config.view_dims[view]
     if config.likelihood == "bernoulli":
         return g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, name=names[0])

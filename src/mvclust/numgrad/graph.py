@@ -50,7 +50,7 @@ class Graph:
 
         g = Graph()
         x = g.input("x")
-        h = g.relu(g.add(g.matmul(x, g.param("w")), g.param("b")))
+        h = g.linear(x, g.param("w"), g.param("b"), relu=True)
     """
 
     def __init__(self):
@@ -102,6 +102,14 @@ class Graph:
 
     def matmul(self, a, b, name=None):
         return self._emit("matmul", (a, b), name)
+
+    def linear(self, x, w, b, relu=False, name=None):
+        """Dense layer ``x @ w + b``, followed by ReLU when ``relu`` is set.
+
+        Bit-identical to ``matmul -> add -> relu`` in one node: the bias and
+        the ReLU are applied in place on the fresh product.
+        """
+        return self._emit("linear", (x, w, b), name, relu=bool(relu))
 
     def add(self, a, b, name=None):
         return self._emit("add", (a, b), name)
@@ -270,6 +278,20 @@ def _eval_matmul(node, args):
     return a @ b
 
 
+def _eval_linear(node, args):
+    x, w, b = args
+    out = _eval_matmul(node, (x, w))
+    if b.shape != (w.shape[1],):
+        raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
+    out += b
+    if node.attrs["relu"]:
+        # the ReLU would clamp -inf to 0, so the overflow check comes first
+        if not np.all(np.isfinite(out)):
+            raise NumericError(f"non-finite values produced by node {node.name!r} (linear)")
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
 def _eval_sigmoid(node, args):
     (x,) = args
     out = np.empty_like(x)
@@ -319,6 +341,7 @@ def _eval_slice(node, args):
 
 _EVAL = {
     "matmul": _eval_matmul,
+    "linear": _eval_linear,
     "add": lambda n, a: a[0] + a[1],
     "sub": lambda n, a: a[0] - a[1],
     "mul": lambda n, a: a[0] * a[1],
@@ -343,6 +366,13 @@ _EVAL = {
 def _grad_matmul(node, args, out, g):
     a, b = args
     return [(node.inputs[0], g @ b.T), (node.inputs[1], a.T @ g)]
+
+
+def _grad_linear(node, args, out, g):
+    x, w, _ = args
+    if node.attrs["relu"]:
+        g = g * (out > 0)
+    return [(node.inputs[0], g @ w.T), (node.inputs[1], x.T @ g), (node.inputs[2], g.sum(axis=0))]
 
 
 def _grad_add(node, args, out, g):
@@ -415,6 +445,7 @@ def _grad_slice(node, args, out, g):
 
 _GRAD = {
     "matmul": _grad_matmul,
+    "linear": _grad_linear,
     "add": _grad_add,
     "sub": _grad_sub,
     "mul": _grad_mul,

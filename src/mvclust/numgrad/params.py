@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -12,72 +13,79 @@ from .graph import as_tensor
 _MAGIC = b"NGPS"
 _FORMAT_VERSION = 1
 _FLAG_MOMENTS = 1
-
-
-class Param:
-    __slots__ = ("value", "grad", "m", "v")
-
-    def __init__(self, value):
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.m = np.zeros_like(value)
-        self.v = np.zeros_like(value)
+_BLOCK = 32768  # Adam's elements per block: 256 KB of float64, cache-sized
 
 
 class ParamStore:
     """Named float64 parameters, each with a gradient and two Adam moments.
 
-    The value, gradient and moment arrays of one parameter always share a
-    shape. ``step`` counts completed Adam steps and drives bias correction.
+    The store is built in one call from its complete ``(name, array)`` pairs.
+    Values, gradients and the two moments each live in one contiguous arena;
+    ``store[name]``, ``grad(name)`` and ``moments(name)`` are writable views
+    into them that share the parameter's shape. Gradients and moments start
+    as untouched zero pages, so a store that never trains never faults them
+    in. ``step`` counts completed Adam steps and drives bias correction.
     """
 
-    def __init__(self):
-        self._params: dict[str, Param] = {}
+    def __init__(self, items=()):
+        arrays = {}
+        for name, value in items:
+            if not name or not isinstance(name, str):
+                raise ValueError(f"invalid parameter name {name!r}")
+            if name in arrays:
+                raise ValueError(f"parameter {name!r} already exists")
+            arrays[name] = as_tensor(value)
+        total = sum(arr.size for arr in arrays.values())
+        self._value, self._grad, self._m, self._v = (np.zeros(total) for _ in range(4))
+        self._views: dict[str, tuple[np.ndarray, ...]] = {}
+        offset = 0
+        for name, arr in arrays.items():
+            span = slice(offset, offset + arr.size)
+            views = tuple(buf[span].reshape(arr.shape) for buf in (self._value, self._grad, self._m, self._v))
+            views[0][...] = arr
+            self._views[name] = views
+            offset += arr.size
         self.step = 0
 
-    def add(self, name: str, value) -> None:
-        if not name or not isinstance(name, str):
-            raise ValueError(f"invalid parameter name {name!r}")
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already exists")
-        self._params[name] = Param(as_tensor(value).copy())
-
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self._views)
 
     def __contains__(self, name) -> bool:
-        return name in self._params
+        return name in self._views
 
     def __len__(self) -> int:
-        return len(self._params)
+        return len(self._views)
 
     def __getitem__(self, name) -> np.ndarray:
-        return self._params[name].value
+        return self._views[name][0]
 
     def grad(self, name) -> np.ndarray:
-        return self._params[name].grad
+        return self._views[name][1]
 
     def moments(self, name) -> tuple[np.ndarray, np.ndarray]:
-        p = self._params[name]
-        return p.m, p.v
+        return self._views[name][2:]
 
     def set_value(self, name, value) -> None:
-        p = self._params[name]
+        current = self[name]
         arr = as_tensor(value)
-        if arr.shape != p.value.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.value.shape}")
-        p.value[...] = arr
+        if arr.shape != current.shape:
+            raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {current.shape}")
+        current[...] = arr
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self._grad.fill(0.0)
 
     def accumulate_grad(self, name, g) -> None:
-        p = self._params[name]
-        p.grad += g
+        grad = self.grad(name)
+        grad += g
 
     def adam_step(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8) -> None:
-        """One Adam update from the current gradients; gradients are left intact."""
+        """One Adam update from the current gradients; gradients are left intact.
+
+        Runs over the arenas in cache-sized blocks with in-place ufuncs; per
+        element it computes ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*(g*g)`` and
+        ``x - (lr*(m/c1)) / (sqrt(v/c2)+eps)``.
+        """
         if not learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
@@ -87,23 +95,34 @@ class ParamStore:
         t = self.step + 1
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
-        for p in self._params.values():
-            p.m *= beta1
-            p.m += (1.0 - beta1) * p.grad
-            p.v *= beta2
-            p.v += (1.0 - beta2) * (p.grad * p.grad)
-            p.value -= learning_rate * (p.m / c1) / (np.sqrt(p.v / c2) + epsilon)
+        scratch_a = np.empty(min(_BLOCK, self._value.size))
+        scratch_b = np.empty_like(scratch_a)
+        for start in range(0, self._value.size, _BLOCK):
+            span = slice(start, start + _BLOCK)
+            x, g, m, v = self._value[span], self._grad[span], self._m[span], self._v[span]
+            a, b = scratch_a[: x.size], scratch_b[: x.size]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=a)
+            m += a
+            v *= beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= learning_rate
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += epsilon
+            a /= b
+            x -= a
         self.step = t
 
     def clone(self) -> "ParamStore":
-        out = ParamStore()
+        out = ParamStore((name, self[name]) for name in self._views)
         out.step = self.step
-        for name, p in self._params.items():
-            out.add(name, p.value)
-            q = out._params[name]
-            q.grad[...] = p.grad
-            q.m[...] = p.m
-            q.v[...] = p.v
+        out._grad[...] = self._grad
+        out._m[...] = self._m
+        out._v[...] = self._v
         return out
 
     # -- checkpoint format -------------------------------------------------
@@ -118,56 +137,67 @@ class ParamStore:
         flags = _FLAG_MOMENTS if include_moments else 0
         chunks = [
             _MAGIC,
-            struct.pack("<IIQI", _FORMAT_VERSION, flags, self.step, len(self._params)),
+            struct.pack("<IIQI", _FORMAT_VERSION, flags, self.step, len(self)),
         ]
-        for name in sorted(self._params):
-            p = self._params[name]
+        for name in sorted(self._views):
+            value, _, m, v = self._views[name]
             raw = name.encode("utf-8")
-            chunks.append(struct.pack("<H", len(raw)))
-            chunks.append(raw)
-            chunks.append(struct.pack("<B", p.value.ndim))
-            if p.value.ndim:
-                chunks.append(struct.pack(f"<{p.value.ndim}Q", *p.value.shape))
-            chunks.append(p.value.astype("<f8", copy=False).tobytes(order="C"))
-            if include_moments:
-                chunks.append(p.m.astype("<f8", copy=False).tobytes(order="C"))
-                chunks.append(p.v.astype("<f8", copy=False).tobytes(order="C"))
+            chunks.append(struct.pack(f"<H{len(raw)}sB{value.ndim}Q", len(raw), raw, value.ndim, *value.shape))
+            for arr in (value, m, v) if include_moments else (value,):
+                chunks.append(arr.astype("<f8", copy=False).data)
         Path(path).write_bytes(b"".join(chunks))
 
     @classmethod
     def load(cls, path) -> "ParamStore":
+        """Read a checkpoint; a truncated payload or trailing bytes raise a
+        ``ValueError`` that names the file and the parameter."""
         buf = Path(path).read_bytes()
         if buf[:4] != _MAGIC:
             raise ValueError(f"not a parameter checkpoint: {path}")
+        offset = 4 + struct.calcsize("<IIQI")
+        if len(buf) < offset:
+            raise ValueError(f"truncated parameter checkpoint {path}: header needs {offset} bytes, has {len(buf)}")
         version, flags, step, count = struct.unpack_from("<IIQI", buf, 4)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        offset = 4 + struct.calcsize("<IIQI")
-        store = cls()
+        n_arrays = 3 if flags & _FLAG_MOMENTS else 1
+        entries = []  # (name, value[, m, v]) as read-only views of the file buffer
+        name = None
+        for index in range(count):
+            what = f"parameter {index + 1} of {count}" + (f" after {name!r}" if name else "")
+            try:
+                (name_len,) = struct.unpack_from("<H", buf, offset)
+                raw = buf[offset + 2 : offset + 2 + name_len]
+                if len(raw) < name_len:
+                    raise struct.error("name cut short")
+                name = raw.decode("utf-8")
+                what = f"parameter {name!r}"
+                offset += 2 + name_len
+                (ndim,) = struct.unpack_from("<B", buf, offset)
+                shape = struct.unpack_from(f"<{ndim}Q", buf, offset + 1)
+                offset += 1 + 8 * ndim
+            except struct.error:
+                raise ValueError(f"truncated parameter checkpoint {path}: header of {what}") from None
+            size = math.prod(shape)
+            nbytes = 8 * size * n_arrays
+            if len(buf) - offset < nbytes:
+                raise ValueError(
+                    f"truncated parameter checkpoint {path}: {what} needs {nbytes} bytes of data, "
+                    f"{len(buf) - offset} left"
+                )
+            arrays = np.frombuffer(buf, dtype="<f8", count=size * n_arrays, offset=offset).reshape(n_arrays, *shape)
+            offset += nbytes
+            entries.append((name, *arrays))
+        if offset != len(buf):
+            raise ValueError(
+                f"parameter checkpoint {path} has {len(buf) - offset} trailing bytes after "
+                + (f"the last parameter {name!r}" if name else "its header")
+            )
+        store = cls((name, value) for name, value, *_ in entries)
         store.step = step
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            name = buf[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}Q", buf, offset) if ndim else ()
-            offset += 8 * ndim
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            nbytes = 8 * size
-
-            def take():
-                # a read-only view: add() and the moment assignments copy it once
-                nonlocal offset
-                arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
-                offset += nbytes
-                return arr
-
-            store.add(name, take())
-            if flags & _FLAG_MOMENTS:
-                p = store._params[name]
-                p.m[...] = take()
-                p.v[...] = take()
+        if n_arrays == 3:
+            for name, _, m, v in entries:
+                store_m, store_v = store.moments(name)
+                store_m[...] = m
+                store_v[...] = v
         return store
-

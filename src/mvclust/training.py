@@ -188,10 +188,8 @@ def _mse_graph_pair(hidden_relu):
     """One greedy stage: encoder layer + throwaway transposed decoder layer."""
     g = Graph()
     x = g.input("x")
-    h = g.add(g.matmul(x, g.param("w")), g.param("b"))
-    if hidden_relu:
-        h = g.relu(h)
-    recon = g.add(g.matmul(h, g.param("dw")), g.param("db"))
+    h = g.linear(x, g.param("w"), g.param("b"), relu=hidden_relu)
+    recon = g.linear(h, g.param("dw"), g.param("db"))
     g.mean(g.square(g.sub(recon, x)), name="loss")
     return g
 
@@ -244,17 +242,18 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             fan_in, fan_out = greedy_out[stage], greedy_out[stage + 1]
             is_head = stage == len(greedy_out) - 2
             rng = rng_for(config.seed, "pretrain-init", v, stage)
-            store = ParamStore()
-            # the encoder side starts from the model's current weights; only
-            # the throwaway transposed decoder layer is fresh
-            if is_head:
-                store.add("w", model.params[_enc(v, stage, "w")][:, : mcfg.latent_dim])
-                store.add("b", model.params[_enc(v, stage, "b")][: mcfg.latent_dim])
-            else:
-                store.add("w", model.params[_enc(v, stage, "w")])
-                store.add("b", model.params[_enc(v, stage, "b")])
-            store.add("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in)))
-            store.add("db", np.zeros(fan_in))
+            # the encoder side starts from the model's current weights (the
+            # mean half of the head); only the throwaway transposed decoder
+            # layer is fresh
+            keep = mcfg.latent_dim if is_head else None
+            store = ParamStore(
+                [
+                    ("w", model.params[_enc(v, stage, "w")][:, :keep]),
+                    ("b", model.params[_enc(v, stage, "b")][:keep]),
+                    ("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))),
+                    ("db", np.zeros(fan_in)),
+                ]
+            )
             graph = _mse_graph_pair(hidden_relu=not is_head)
             stage_losses.append(
                 _run_steps(graph, store, current, config.pretrain_epochs, config, ("pretrain", v, stage))
@@ -275,9 +274,7 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             current = code if is_head else np.maximum(code, 0.0)
 
         view_names = [name for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))]
-        store = ParamStore()
-        for name in view_names:
-            store.add(name, model.params[name])
+        store = ParamStore((name, model.params[name]) for name in view_names)
         fine_losses = _run_steps(
             _finetune_graph(mcfg, v), store, X, config.finetune_epochs, config, ("finetune", v)
         )

@@ -241,9 +241,7 @@ def test_criterion_6_uci_digits_regression():
 def test_criterion_7_invariant_suites():
     # simplex preservation through 1000 Adam steps on free logits
     rng = np.random.default_rng(5)
-    store = ParamStore()
-    store.add("fusion_logits", np.zeros(5))
-    store.add("mix_logits", np.zeros(7))
+    store = ParamStore([("fusion_logits", np.zeros(5)), ("mix_logits", np.zeros(7))])
     for _ in range(1000):
         store.zero_grads()
         store.accumulate_grad("fusion_logits", rng.standard_normal(5))

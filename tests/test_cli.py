@@ -119,6 +119,31 @@ def test_assign_matches_library(workspace, tmp_path):
     assert np.array_equal(got, expected)
 
 
+def test_train_evaluates_labelled_data_once(workspace, tmp_path, monkeypatch):
+    import mvclust.cli
+    import mvclust.training
+
+    calls = []
+    original = mvclust.training.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mvclust.training, "evaluate", counted)
+    monkeypatch.setattr(mvclust.cli, "evaluate", counted)
+    config = json.loads(workspace["config"].read_text())
+    config["eval_every"] = config["epochs"]  # train() scores the last epoch only
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    rerun = tmp_path / "run"
+    assert main([
+        "train", "--manifest", str(workspace["manifest"]), "--config", str(config_path), "--out", str(rerun),
+    ]) == 0
+    assert len(calls) == 1
+    assert (rerun / "metrics.txt").read_bytes() == (workspace["out"] / "metrics.txt").read_bytes()
+
+
 def test_train_metrics_report_matches_assign_then_eval(workspace, tmp_path, capsys):
     # the report must score the same labels `assign` produces (i.e. the
     # model's normalization record is applied before encoding)

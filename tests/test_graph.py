@@ -9,10 +9,7 @@ from helpers import rel_err
 
 
 def _store(**arrays):
-    store = ParamStore()
-    for name, value in arrays.items():
-        store.add(name, value)
-    return store
+    return ParamStore(arrays.items())
 
 
 def test_linear_identity_forward():
@@ -22,6 +19,89 @@ def test_linear_identity_forward():
     store = _store(w=np.eye(3), b=np.zeros(3))
     values = forward(g, {"x": np.array([[1.0, 2.0, 3.0]])}, store)
     assert np.array_equal(values[out], [[1.0, 2.0, 3.0]])
+
+
+def _dense_pair(relu):
+    """The same dense layer as one ``linear`` node and as the reference
+    ``matmul -> add -> relu`` chain, each under a loss whose gradient has
+    both signs."""
+    graphs = []
+    for fused in (True, False):
+        g = Graph()
+        x, w, b = g.input("x"), g.param("w"), g.param("b")
+        if fused:
+            g.linear(x, w, b, relu=relu, name="h")
+        elif relu:
+            g.relu(g.add(g.matmul(x, w), b), name="h")
+        else:
+            g.add(g.matmul(x, w), b, name="h")
+        g.sum(g.mul(g.square("h"), g.input("c")), name="loss")
+        graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_linear_equals_matmul_add_relu_chain_bitwise(relu):
+    rng = np.random.default_rng(21)
+    inputs = {"x": rng.standard_normal((7, 5)), "c": rng.standard_normal((7, 4))}
+    w, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
+    results = []
+    for g in _dense_pair(relu):
+        store = _store(w=w, b=b)
+        values = forward(g, inputs, store)
+        grads = backward(g, values, "loss", store, input_grads=["x"])
+        results.append((values["h"], values["loss"], grads["x"], store.grad("w"), store.grad("b")))
+    fused, chain = results
+    assert relu == bool(np.any(fused[0] == 0.0))  # the mask is exercised
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+
+
+def test_linear_finite_differences():
+    rng = np.random.default_rng(22)
+    g = Graph()
+    h = g.linear(g.input("x"), g.param("w1"), g.param("b1"), relu=True)
+    g.mean(g.square(g.linear(h, g.param("w2"), g.param("b2"))), name="loss")
+    store = _store(
+        w1=rng.standard_normal((4, 6)),
+        b1=rng.standard_normal(6),
+        w2=rng.standard_normal((6, 2)),
+        b2=rng.standard_normal(2),
+    )
+    inputs = {"x": rng.standard_normal((5, 4))}
+    values = forward(g, inputs, store)
+    assert np.any(values[h] == 0.0) and np.any(values[h] > 0.0)
+    grads = backward(g, values, "loss", store, input_grads=["x"])
+    fd = _fd_input_grad(g, inputs, store, "loss", "x")
+    assert max(rel_err(a, b) for a, b in zip(grads["x"].reshape(-1), fd.reshape(-1))) < 1e-4
+    h_step = 1e-5
+    for name in store.names():
+        flat = store[name].reshape(-1)
+        grad = store.grad(name).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h_step
+            up = float(forward(g, inputs, store)["loss"])
+            flat[i] = orig - h_step
+            down = float(forward(g, inputs, store)["loss"])
+            flat[i] = orig
+            assert rel_err(grad[i], (up - down) / (2 * h_step)) < 1e-4
+
+
+def test_linear_relu_overflow_names_the_node():
+    # x @ w is -inf in every column; a ReLU applied first would hide it as 0
+    g = Graph()
+    g.linear(g.input("x"), g.param("w"), g.param("b"), relu=True, name="dense")
+    store = _store(w=np.full((2, 3), -1e308), b=np.zeros(3))
+    with pytest.raises(NumericError, match="'dense'"):
+        forward(g, {"x": np.full((1, 2), 10.0)}, store)
+
+
+def test_linear_bias_shape_names_the_node():
+    g = Graph()
+    g.linear(g.input("x"), g.param("w"), g.param("b"), name="dense")
+    with pytest.raises(GraphError, match="'dense'"):
+        forward(g, {"x": np.ones((2, 3))}, _store(w=np.ones((3, 4)), b=np.ones((2, 4))))
 
 
 def test_sigmoid_of_zero_is_half():
@@ -120,8 +200,7 @@ def _random_program(rng):
     g = Graph()
     x = g.input("x")
     rows, cols = 3, 4
-    store = ParamStore()
-    store.add("p_row", 0.5 + rng.uniform(0.1, 1.0, size=cols))
+    store = _store(p_row=0.5 + rng.uniform(0.1, 1.0, size=cols))
     cur = g.mul(x, g.param("p_row"))
     for step in range(rng.integers(2, 6)):
         op = rng.integers(0, 8)

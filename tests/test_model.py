@@ -664,10 +664,9 @@ def test_model_load_checks_shapes_without_building_a_model(tmp_path, monkeypatch
 def test_model_archive_wrong_shape_detected(tmp_path):
     model = randomized_model(tiny_config("gaussian"), seed=33)
     model.save(tmp_path / "m")
-    store = ParamStore()
-    for name in model.params.names():
-        value = model.params[name]
-        store.add(name, np.zeros(value.shape[0] + 1) if name == "enc1_b0" else value)
+    values = {name: model.params[name] for name in model.params.names()}
+    values["enc1_b0"] = np.zeros(values["enc1_b0"].shape[0] + 1)
+    store = ParamStore(values.items())
     store.save(tmp_path / "m" / "params.bin", include_moments=False)
     with pytest.raises(ValueError, match="archive"):
         Model.load(tmp_path / "m")

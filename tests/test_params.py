@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from mvclust import ParamStore
+from mvclust.numgrad.params import _BLOCK
 
 
 def _store_with(name="p", value=None):
-    store = ParamStore()
-    store.add(name, np.zeros(3) if value is None else value)
-    return store
+    return ParamStore([(name, np.zeros(3) if value is None else value)])
 
 
 def test_shapes_shared_and_zero_after_zero_grads():
@@ -22,11 +21,72 @@ def test_shapes_shared_and_zero_after_zero_grads():
 
 
 def test_duplicate_and_bad_names_rejected():
-    store = _store_with()
-    with pytest.raises(ValueError):
-        store.add("p", np.ones(2))
-    with pytest.raises(ValueError):
-        store.add("", np.ones(2))
+    with pytest.raises(ValueError, match="'p' already exists"):
+        ParamStore([("p", np.zeros(3)), ("p", np.ones(2))])
+    with pytest.raises(ValueError, match="invalid parameter name"):
+        ParamStore([("", np.ones(2))])
+
+
+def test_views_share_memory_with_the_arena():
+    store = ParamStore([("a", np.ones((2, 3))), ("b", np.arange(4.0))])
+    for name in store.names():
+        m, v = store.moments(name)
+        for view, arena in ((store[name], store._value), (store.grad(name), store._grad), (m, store._m), (v, store._v)):
+            assert np.shares_memory(view, arena)
+    store["b"][1] = 7.0  # "b" starts after the 6 elements of "a"
+    store.accumulate_grad("b", np.ones(4))
+    assert store._value[6 + 1] == 7.0 and np.array_equal(store._grad[6:], np.ones(4))
+    store.zero_grads()
+    assert not store._grad.any()
+
+
+def test_store_copies_its_input():
+    value = np.zeros(3)
+    store = ParamStore([("p", value)])
+    store["p"][0] = 1.0
+    assert value[0] == 0.0
+
+
+def test_arena_adam_equals_per_parameter_reference():
+    # parameter sizes straddle the block size and do not divide it, so
+    # blocks cut across parameters
+    rng = np.random.default_rng(4)
+    shapes = {"a": (_BLOCK - 3,), "b": (5, 7), "c": (3, _BLOCK // 3 + 11), "d": (1,), "e": (_BLOCK + 1,)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    store = ParamStore(values.items())
+    ref = {name: [x.copy(), np.zeros(x.shape), np.zeros(x.shape)] for name, x in values.items()}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 5):
+        store.zero_grads()
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for name, shape in shapes.items():
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)
+            store.accumulate_grad(name, g)
+            x, m, v = ref[name]
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * (g * g)
+            x = x - (lr * (m / c1)) / (np.sqrt(v / c2) + eps)
+            ref[name] = [x, m, v]
+        store.adam_step(lr, b1, b2, eps)
+        for name, (x, m, v) in ref.items():
+            assert np.array_equal(store[name], x)
+            assert np.array_equal(store.moments(name)[0], m)
+            assert np.array_equal(store.moments(name)[1], v)
+
+
+def test_clone_copies_every_arena():
+    store = ParamStore([("w", np.ones((2, 2))), ("b", np.zeros(2))])
+    store.accumulate_grad("w", np.full((2, 2), 0.5))
+    store.adam_step(0.1)
+    copy = store.clone()
+    assert copy.step == store.step
+    for name in store.names():
+        assert np.array_equal(copy[name], store[name])
+        assert np.array_equal(copy.grad(name), store.grad(name))
+        for got, want in zip(copy.moments(name), store.moments(name)):
+            assert np.array_equal(got, want)
+    copy["w"][...] = 9.0
+    assert np.all(store["w"] != 9.0)
 
 
 def test_adam_zero_gradient_fresh_moments_is_noop():
@@ -88,9 +148,7 @@ def test_adam_hyperparameter_validation():
 
 def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
-    store = ParamStore()
-    store.add("w", rng.standard_normal((3, 4)))
-    store.add("b", rng.standard_normal(4))
+    store = ParamStore([("w", rng.standard_normal((3, 4))), ("b", rng.standard_normal(4))])
     store.accumulate_grad("w", rng.standard_normal((3, 4)))
     store.accumulate_grad("b", rng.standard_normal(4))
     for _ in range(3):
@@ -108,9 +166,7 @@ def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
 
 def test_checkpoint_bytes_stable(tmp_path):
     rng = np.random.default_rng(1)
-    store = ParamStore()
-    store.add("z", rng.standard_normal(5))
-    store.add("a", rng.standard_normal((2, 2)))
+    store = ParamStore([("z", rng.standard_normal(5)), ("a", rng.standard_normal((2, 2)))])
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     store.save(p1)
     store.save(p2)
@@ -133,4 +189,40 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        ParamStore.load(path)
+
+
+def _saved(tmp_path, include_moments=True):
+    store = ParamStore([("alpha", np.arange(6.0).reshape(2, 3)), ("beta", np.arange(4.0))])
+    path = tmp_path / "ckpt.bin"
+    store.save(path, include_moments=include_moments)
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncated_in_a_header_names_file_and_parameter(tmp_path):
+    path, raw = _saved(tmp_path)
+    # "alpha": 24-byte file header, then u16 + 5 name bytes + u8 + 2 dims,
+    # then 3 * 6 doubles; the cut falls inside beta's dims
+    cut = 24 + 2 + 5 + 1 + 16 + 3 * 6 * 8 + 2 + 4 + 1 + 4
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=r"truncated.*ckpt\.bin.*header of parameter 'beta'"):
+        ParamStore.load(path)
+    # a cut inside beta's name leaves only its position to name it
+    path.write_bytes(raw[: cut - 8])
+    with pytest.raises(ValueError, match=r"ckpt\.bin.*header of parameter 2 of 2 after 'alpha'"):
+        ParamStore.load(path)
+
+
+@pytest.mark.parametrize("include_moments", [True, False])
+def test_checkpoint_truncated_inside_an_array_names_file_and_parameter(tmp_path, include_moments):
+    path, raw = _saved(tmp_path, include_moments)
+    path.write_bytes(raw[:-1])
+    with pytest.raises(ValueError, match=r"truncated.*ckpt\.bin.*'beta' needs"):
+        ParamStore.load(path)
+
+
+def test_checkpoint_trailing_bytes_name_file_and_parameter(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(raw + b"\0" * 3)
+    with pytest.raises(ValueError, match=r"ckpt\.bin has 3 trailing bytes after the last parameter 'beta'"):
         ParamStore.load(path)

@@ -402,9 +402,7 @@ def test_simplex_preserved_after_many_adam_steps():
     rng = np.random.default_rng(13)
     from mvclust import ParamStore
 
-    store = ParamStore()
-    store.add("fusion_logits", np.zeros(4))
-    store.add("mix_logits", np.zeros(6))
+    store = ParamStore([("fusion_logits", np.zeros(4)), ("mix_logits", np.zeros(6))])
     for _ in range(1000):
         store.zero_grads()
         store.accumulate_grad("fusion_logits", rng.standard_normal(4))
