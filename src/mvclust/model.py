@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .numgrad import Graph, ParamStore, as_tensor, forward
+from .numgrad.params import write_atomic
 from .seeding import rng_for
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -195,9 +196,10 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: ModelConfig, seed: int) -> ParamStore:
+def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ParamStore:
     """He-initialized hidden layers, small linear heads, zeroed log-variance
-    head columns (so every variance starts at 1)."""
+    head columns (so every variance starts at 1), drawn in float64 and
+    stored in ``dtype``."""
     values = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
     for name, v, i, fan_in, fan_out, head in _dense_layers(config):
         scale = math.sqrt(1.0 / fan_in) if head else math.sqrt(2.0 / fan_in)
@@ -207,7 +209,7 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
             w[:, fan_out // 2 :] = 0.0  # the log-variance half of a (mean, log-variance) head
         values[name(v, i, "w")] = w
     values["gmm_means"] = 0.01 * rng_for(seed, "init-gmm").normal(size=values["gmm_means"].shape)
-    return ParamStore(values.items())
+    return ParamStore(values.items(), dtype=dtype)
 
 
 # -- graph builders -----------------------------------------------------------
@@ -225,14 +227,17 @@ def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str, names=(None,
     return mu, logvar
 
 
-def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None, None)):
-    """Append the view decoder; returns the Bernoulli mean, or (mean, logvar), named ``names``."""
+def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None, None), logits=False):
+    """Append the view decoder; returns the Bernoulli mean (its logits when
+    ``logits`` is set), or the Gaussian (mean, logvar), named ``names``."""
     _, widths = _layer_widths(config, view)
     h = z
     for i in range(len(widths) - 1):
         h = g.linear(h, g.param(_dec(view, i, "w")), g.param(_dec(view, i, "b")), relu=i < len(widths) - 2)
     d = config.view_dims[view]
     if config.likelihood == "bernoulli":
+        if logits:
+            return h
         return g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, name=names[0])
     mu = g.slice(h, axis=1, start=0, stop=d, name=names[0])
     logvar = g.clip(g.slice(h, axis=1, start=d, stop=2 * d), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
@@ -331,11 +336,10 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
         recon_v = None
         for v in range(m):
             if config.likelihood == "bernoulli":
-                mu_x = decoder_nodes(g, config, v, z)
-                ll = g.add(
-                    g.mul(xs[v], g.log(mu_x)),
-                    g.mul(g.affine(xs[v], scale=-1.0, shift=1.0), g.log(g.affine(mu_x, scale=-1.0, shift=1.0))),
-                )
+                # x log sigmoid(h) + (1 - x) log(1 - sigmoid(h)) = x h - softplus(h),
+                # finite however far the logits h saturate, in float32 too
+                h = decoder_nodes(g, config, v, z, logits=True)
+                ll = g.sub(g.mul(xs[v], h), g.softplus(h))
             else:
                 mu_x, logvar_x = decoder_nodes(g, config, v, z)
                 sq_x = g.mul(g.square(g.sub(xs[v], mu_x)), g.exp(g.affine(logvar_x, scale=-1.0)))
@@ -372,8 +376,8 @@ class Model:
         self._graphs: dict = {}
 
     @classmethod
-    def initialize(cls, config: ModelConfig, seed: int) -> "Model":
-        return cls(config, init_params(config, seed))
+    def initialize(cls, config: ModelConfig, seed: int, dtype=np.float64) -> "Model":
+        return cls(config, init_params(config, seed, dtype))
 
     def encoder_graph(self, view: int) -> Graph:
         key = ("enc", view)
@@ -397,7 +401,8 @@ class Model:
         return FusionWeights(self.params["fusion_logits"].copy())
 
     def prior(self) -> GmmPrior:
-        logvars = np.clip(self.params["gmm_logvars"], LOGVAR_MIN, LOGVAR_MAX)
+        """The mixture in float64, whatever the store's dtype."""
+        logvars = np.clip(as_tensor(self.params["gmm_logvars"]), LOGVAR_MIN, LOGVAR_MAX)
         return GmmPrior(
             weights=softmax(self.params["mix_logits"]),
             means=self.params["gmm_means"].copy(),
@@ -410,7 +415,7 @@ class Model:
         descriptor = {"format_version": 1, "model": self.config.to_dict()}
         if self.normalization is not None:
             descriptor["normalization"] = self.normalization.to_dict()
-        (directory / DESCRIPTOR_FILE).write_text(json.dumps(descriptor, indent=2) + "\n")
+        write_atomic(directory / DESCRIPTOR_FILE, [(json.dumps(descriptor, indent=2) + "\n").encode()])
         self.params.save(directory / PARAMS_FILE, include_moments=include_moments)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Dense float64 computation graphs with reverse-mode differentiation.
+"""Dense computation graphs with reverse-mode differentiation.
 
 A ``Graph`` is an ordered list of primitive nodes over named values. Values
 live in three namespaces: declared graph inputs (bound per call), declared
@@ -7,8 +7,10 @@ of earlier nodes. ``forward`` evaluates every node in order and returns the
 complete value table; ``backward`` walks the node list in reverse and
 accumulates gradients into the parameter store.
 
-Replaying a graph on the same inputs and parameters is bit-identical: every
-primitive is a deterministic sequential numpy operation.
+``forward`` computes in one floating dtype, float64 unless told otherwise:
+training runs its graphs in float32, inference and the gradient oracles in
+float64. Replaying a graph on the same inputs and parameters is
+bit-identical: every primitive is a deterministic sequential numpy operation.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ class NumericError(ArithmeticError):
     """A forward value came out non-finite."""
 
 
-def as_tensor(value) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array (row-major)."""
-    return np.ascontiguousarray(value, dtype=np.float64)
+def as_tensor(value, dtype=np.float64) -> np.ndarray:
+    """Coerce to a C-contiguous array of ``dtype`` (row-major); no copy when
+    ``value`` already is one."""
+    return np.ascontiguousarray(value, dtype=dtype)
 
 
 class Node:
@@ -133,6 +136,10 @@ class Graph:
     def sigmoid(self, x, name=None):
         return self._emit("sigmoid", (x,), name)
 
+    def softplus(self, x, name=None):
+        """``log(1 + exp(x))``, finite for every finite ``x``."""
+        return self._emit("softplus", (x,), name)
+
     def exp(self, x, name=None):
         return self._emit("exp", (x,), name)
 
@@ -172,11 +179,12 @@ class Graph:
 # -- forward ----------------------------------------------------------------
 
 
-def forward(graph: Graph, inputs, params=None) -> dict:
-    """Evaluate every node; returns the full name -> array value table.
+def forward(graph: Graph, inputs, params=None, dtype=np.float64) -> dict:
+    """Evaluate every node in ``dtype``; returns the full name -> array value table.
 
-    The returned table holds inputs, parameters and all intermediates, which
-    is exactly the record ``backward`` needs.
+    Inputs and parameters are coerced to ``dtype`` (a view, not a copy, when
+    they already have it). The returned table holds inputs, parameters and
+    all intermediates, which is exactly the record ``backward`` needs.
     """
     values: dict[str, np.ndarray] = {}
     inputs = dict(inputs or {})
@@ -186,14 +194,14 @@ def forward(graph: Graph, inputs, params=None) -> dict:
     for name in graph.inputs:
         if name not in inputs:
             raise GraphError(f"graph input {name!r} not bound")
-        arr = as_tensor(inputs[name])
+        arr = as_tensor(inputs[name], dtype)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values in input {name!r}")
         values[name] = arr
     for name in graph.params:
         if params is None or name not in params:
             raise GraphError(f"parameter {name!r} not bound")
-        values[name] = as_tensor(params[name])
+        values[name] = as_tensor(params[name], dtype)
     # the isfinite check after every node is the error contract; numpy's own
     # overflow/invalid warnings would only duplicate it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -292,14 +300,11 @@ def _eval_linear(node, args):
     return out
 
 
-def _eval_sigmoid(node, args):
-    (x,) = args
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x):
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below,
+    so no ``exp`` overflows; one branch-free expression."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _eval_sum(node, args):
@@ -348,7 +353,8 @@ _EVAL = {
     "div": lambda n, a: a[0] / a[1],
     "affine": lambda n, a: n.attrs["scale"] * a[0] + n.attrs["shift"],
     "relu": lambda n, a: np.maximum(a[0], 0.0),
-    "sigmoid": _eval_sigmoid,
+    "sigmoid": lambda n, a: _sigmoid(a[0]),
+    "softplus": lambda n, a: np.logaddexp(0.0, a[0]),
     "exp": lambda n, a: np.exp(a[0]),
     "log": lambda n, a: np.log(a[0]),
     "sqrt": lambda n, a: np.sqrt(a[0]),
@@ -453,6 +459,7 @@ _GRAD = {
     "affine": lambda n, a, o, g: [(n.inputs[0], g * n.attrs["scale"])],
     "relu": lambda n, a, o, g: [(n.inputs[0], g * (a[0] > 0))],
     "sigmoid": lambda n, a, o, g: [(n.inputs[0], g * o * (1.0 - o))],
+    "softplus": lambda n, a, o, g: [(n.inputs[0], g * _sigmoid(a[0]))],
     "exp": lambda n, a, o, g: [(n.inputs[0], g * o)],
     "log": lambda n, a, o, g: [(n.inputs[0], g / a[0])],
     "sqrt": lambda n, a, o, g: [(n.inputs[0], 0.5 * g / o)],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -13,11 +14,28 @@ from .graph import as_tensor
 _MAGIC = b"NGPS"
 _FORMAT_VERSION = 1
 _FLAG_MOMENTS = 1
-_BLOCK = 32768  # Adam's elements per block: 256 KB of float64, cache-sized
+_BLOCK = 32768  # Adam's elements per block: 256 KB of float64 or 128 KB of float32, cache-sized
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` through a temp file in the
+    same directory and ``os.replace``: a reader sees the previous file or the
+    complete new one, never a part. On any error the temp file is removed
+    and the previous file is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ParamStore:
-    """Named float64 parameters, each with a gradient and two Adam moments.
+    """Named parameters of one float dtype, each with a gradient and two Adam moments.
 
     The store is built in one call from its complete ``(name, array)`` pairs.
     Values, gradients and the two moments each live in one contiguous arena;
@@ -25,18 +43,20 @@ class ParamStore:
     into them that share the parameter's shape. Gradients and moments start
     as untouched zero pages, so a store that never trains never faults them
     in. ``step`` counts completed Adam steps and drives bias correction.
+    Every arena has ``dtype`` (float64 by default; training uses float32);
+    checkpoints are ``<f8`` whatever the dtype.
     """
 
-    def __init__(self, items=()):
+    def __init__(self, items=(), dtype=np.float64):
         arrays = {}
         for name, value in items:
             if not name or not isinstance(name, str):
                 raise ValueError(f"invalid parameter name {name!r}")
             if name in arrays:
                 raise ValueError(f"parameter {name!r} already exists")
-            arrays[name] = as_tensor(value)
+            arrays[name] = np.asarray(value)
         total = sum(arr.size for arr in arrays.values())
-        self._value, self._grad, self._m, self._v = (np.zeros(total) for _ in range(4))
+        self._value, self._grad, self._m, self._v = (np.zeros(total, dtype=dtype) for _ in range(4))
         self._views: dict[str, tuple[np.ndarray, ...]] = {}
         offset = 0
         for name, arr in arrays.items():
@@ -46,6 +66,10 @@ class ParamStore:
             self._views[name] = views
             offset += arr.size
         self.step = 0
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._value.dtype
 
     def names(self) -> list[str]:
         return list(self._views)
@@ -95,7 +119,7 @@ class ParamStore:
         t = self.step + 1
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
-        scratch_a = np.empty(min(_BLOCK, self._value.size))
+        scratch_a = np.empty(min(_BLOCK, self._value.size), dtype=self.dtype)
         scratch_b = np.empty_like(scratch_a)
         for start in range(0, self._value.size, _BLOCK):
             span = slice(start, start + _BLOCK)
@@ -117,8 +141,9 @@ class ParamStore:
             x -= a
         self.step = t
 
-    def clone(self) -> "ParamStore":
-        out = ParamStore((name, self[name]) for name in self._views)
+    def clone(self, dtype=None) -> "ParamStore":
+        """A copy of every arena and ``step``, in ``dtype`` (default: this store's)."""
+        out = ParamStore(((name, self[name]) for name in self._views), dtype=dtype or self.dtype)
         out.step = self.step
         out._grad[...] = self._grad
         out._m[...] = self._m
@@ -134,23 +159,25 @@ class ParamStore:
     #     value payload (<f8, C order) [ | m payload | v payload ]
 
     def save(self, path, include_moments=True) -> None:
+        """Write the checkpoint atomically (see ``write_atomic``)."""
+        write_atomic(path, self._checkpoint_chunks(include_moments))
+
+    def _checkpoint_chunks(self, include_moments):
         flags = _FLAG_MOMENTS if include_moments else 0
-        chunks = [
-            _MAGIC,
-            struct.pack("<IIQI", _FORMAT_VERSION, flags, self.step, len(self)),
-        ]
+        yield _MAGIC
+        yield struct.pack("<IIQI", _FORMAT_VERSION, flags, self.step, len(self))
         for name in sorted(self._views):
             value, _, m, v = self._views[name]
             raw = name.encode("utf-8")
-            chunks.append(struct.pack(f"<H{len(raw)}sB{value.ndim}Q", len(raw), raw, value.ndim, *value.shape))
+            yield struct.pack(f"<H{len(raw)}sB{value.ndim}Q", len(raw), raw, value.ndim, *value.shape)
             for arr in (value, m, v) if include_moments else (value,):
-                chunks.append(arr.astype("<f8", copy=False).data)
-        Path(path).write_bytes(b"".join(chunks))
+                yield arr.astype("<f8", copy=False).data
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """Read a checkpoint; a truncated payload or trailing bytes raise a
-        ``ValueError`` that names the file and the parameter."""
+        """Read a checkpoint into a float64 store; a truncated payload or
+        trailing bytes raise a ``ValueError`` that names the file and the
+        parameter."""
         buf = Path(path).read_bytes()
         if buf[:4] != _MAGIC:
             raise ValueError(f"not a parameter checkpoint: {path}")

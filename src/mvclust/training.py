@@ -1,5 +1,10 @@
 """Training protocol: layer-wise pretraining, k-means GMM init, joint ELBO
-ascent with Adam and a step-decayed learning rate, checkpointing."""
+ascent with Adam and a step-decayed learning rate, checkpointing.
+
+``train`` computes in float32 (``TRAIN_DTYPE``): the model's parameter store,
+its gradients and Adam moments, and every pretraining and ELBO step.
+k-means, evaluation and every saved artifact stay float64.
+"""
 
 from __future__ import annotations
 
@@ -24,12 +29,14 @@ from .model import (
     param_shapes,
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
+from .numgrad.params import write_atomic
 from .seeding import rng_for
 
 CHECKPOINT_STATE_FILE = "state.json"
 HISTORY_FILE = "history.csv"
 _HISTORY_COLUMNS = ("epoch", "learning_rate", "elbo", "acc", "nmi", "ari", "purity")
 _VAR_FLOOR = 1e-4
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -212,7 +219,7 @@ def _run_steps(graph, store, X, epochs, config, stream):
         total = 0.0
         for batch in batch_iter(X.shape[0], config.batch_size, config.seed, epoch, stream=stream):
             store.zero_grads()
-            values = forward(graph, {"x": X[batch]}, store)
+            values = forward(graph, {"x": X[batch]}, store, dtype=store.dtype)
             backward(graph, values, "loss", store)
             store.adam_step(config.learning_rate)
             total += float(values["loss"]) * batch.shape[0]
@@ -227,13 +234,13 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
     layer under squared error; the trained weights land in the model store
     (the mean half only for the posterior head, whose log-variance half
     stays zero, i.e. variance 1). Fine-tuning then trains the real
-    encoder/decoder stacks of the view jointly. Returns per-view loss
-    histories for diagnostics.
+    encoder/decoder stacks of the view jointly. Every stage computes in the
+    model store's dtype. Returns per-view loss histories for diagnostics.
     """
     mcfg = model.config
     histories = {}
     for v in range(mcfg.n_views):
-        X = dataset.matrices[v]
+        X = dataset.matrices[v].astype(model.params.dtype, copy=False)
         enc_widths, _ = _layer_widths(mcfg, v)
         greedy_out = enc_widths[:-1] + [mcfg.latent_dim]  # head trains its mean half
         current = X
@@ -252,7 +259,8 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
                     ("b", model.params[_enc(v, stage, "b")][:keep]),
                     ("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))),
                     ("db", np.zeros(fan_in)),
-                ]
+                ],
+                dtype=model.params.dtype,
             )
             graph = _mse_graph_pair(hidden_relu=not is_head)
             stage_losses.append(
@@ -274,7 +282,7 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             current = code if is_head else np.maximum(code, 0.0)
 
         view_names = [name for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))]
-        store = ParamStore((name, model.params[name]) for name in view_names)
+        store = ParamStore(((name, model.params[name]) for name in view_names), dtype=model.params.dtype)
         fine_losses = _run_steps(
             _finetune_graph(mcfg, v), store, X, config.finetune_epochs, config, ("finetune", v)
         )
@@ -360,7 +368,7 @@ def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metr
         "elbo_history": list(elbo_history),
         "metrics_history": list(metrics_history),
     }
-    (directory / CHECKPOINT_STATE_FILE).write_text(json.dumps(state, indent=2) + "\n")
+    write_atomic(directory / CHECKPOINT_STATE_FILE, [(json.dumps(state, indent=2) + "\n").encode()])
 
 
 def load_checkpoint(directory):
@@ -368,6 +376,17 @@ def load_checkpoint(directory):
     model = Model.load(directory)
     state = json.loads((directory / CHECKPOINT_STATE_FILE).read_text())
     return model, int(state["epoch_next"]), list(state["elbo_history"]), list(state["metrics_history"])
+
+
+def _check_resumable(found: ModelConfig, expected: ModelConfig, checkpoint) -> None:
+    """Reject a checkpoint whose model differs from the one the config and
+    dataset build; the message names the first differing field."""
+    for f in fields(ModelConfig):
+        have, want = getattr(found, f.name), getattr(expected, f.name)
+        if have != want:
+            raise ValueError(
+                f"checkpoint {checkpoint} has {f.name}={have!r}, but the config and dataset give {f.name}={want!r}"
+            )
 
 
 def _diagnostics(params: ParamStore) -> str:
@@ -397,27 +416,29 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
 
     Fresh runs do pretraining and GMM initialization first; resumed runs
     pick up the model, optimizer moments and histories from a checkpoint
-    directory and continue to ``config.epochs``.
+    directory and continue to ``config.epochs``. The model trains in a
+    ``TRAIN_DTYPE`` store either way.
     """
     data, kind = _prepare_dataset(dataset, config)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    mcfg = ModelConfig(
+        view_dims=data.dims,
+        latent_dim=config.latent_dim,
+        n_clusters=config.n_clusters,
+        likelihood=kind,
+        encoder_hidden=config.encoder_hidden,
+        decoder_hidden=config.decoder_hidden,
+    )
     if resume_from:
         model, start_epoch, history, metrics_history = load_checkpoint(resume_from)
-        if model.config.view_dims != data.dims or model.config.likelihood != kind:
-            raise ValueError("checkpoint does not match the dataset/config")
+        _check_resumable(model.config, mcfg, resume_from)
+        # exact for a checkpoint written by train(): it holds float32 values
+        model.params = model.params.clone(TRAIN_DTYPE)
     else:
-        mcfg = ModelConfig(
-            view_dims=data.dims,
-            latent_dim=config.latent_dim,
-            n_clusters=config.n_clusters,
-            likelihood=kind,
-            encoder_hidden=config.encoder_hidden,
-            decoder_hidden=config.decoder_hidden,
-        )
-        model = Model.initialize(mcfg, config.seed)
+        model = Model.initialize(mcfg, config.seed, dtype=TRAIN_DTYPE)
         model.normalization = data.normalization
         pretrain_autoencoders(model, data, config)
         init_gmm(model, data, config.seed)
@@ -438,7 +459,7 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
             inputs.update({f"eps{l}": eps[l] for l in range(config.mc_samples)})
             model.params.zero_grads()
             try:
-                values = forward(graph, inputs, model.params)
+                values = forward(graph, inputs, model.params, dtype=model.params.dtype)
                 backward(graph, values, "loss", model.params)
             except NumericError as exc:
                 raise NumericError(

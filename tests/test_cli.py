@@ -119,6 +119,22 @@ def test_assign_matches_library(workspace, tmp_path):
     assert np.array_equal(got, expected)
 
 
+def test_assign_on_a_float32_trained_archive_matches_the_run_in_process(workspace, tmp_path):
+    from mvclust import TrainConfig, train
+
+    dataset = load_dataset(workspace["manifest"])
+    result = train(dataset, TrainConfig.from_file(workspace["config"]), out_dir=tmp_path / "run")
+    assert result.model.params.dtype == np.float32
+    in_process = assign_clusters(result.model, result.model.normalization.apply(dataset.matrices))
+    out_file = tmp_path / "labels.txt"
+    code = main([
+        "assign", "--model", str(tmp_path / "run" / "model"),
+        "--manifest", str(workspace["manifest"]), "--out", str(out_file),
+    ])
+    assert code == 0
+    assert np.array_equal(np.array([int(v) for v in out_file.read_text().split()]), in_process)
+
+
 def test_train_evaluates_labelled_data_once(workspace, tmp_path, monkeypatch):
     import mvclust.cli
     import mvclust.training

@@ -376,3 +376,61 @@ def test_clip_passes_gradient_only_inside_bounds():
     grads = backward(g, values, "loss", input_grads=["x"])
     assert np.array_equal(grads["x"], [0.0, 1.0, 0.0])
     assert np.array_equal(values["loss"], np.asarray(0.3 - 1.0 + 1.0))
+
+
+def _masked_sigmoid(x):
+    """The boolean-mask form of the stable sigmoid, as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_masked_form(dtype):
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.standard_normal(500) * 12, [0.0, -0.0, 40.0, -40.0, 1e3, -1e3]]).astype(dtype)
+    g = Graph()
+    g.sigmoid(g.input("x"), name="y")
+    got = forward(g, {"x": x}, dtype=dtype)["y"]
+    assert got.dtype == dtype
+    assert np.array_equal(got, _masked_sigmoid(x))
+
+
+def test_softplus_finite_differences():
+    rng = np.random.default_rng(32)
+    g = Graph()
+    g.sum(g.mul(g.softplus(g.input("x")), g.input("c")), name="loss")
+    inputs = {"x": rng.standard_normal((4, 5)) * 3, "c": rng.standard_normal((4, 5))}
+    values = forward(g, inputs)
+    assert values["loss"] == pytest.approx(np.sum(np.log1p(np.exp(inputs["x"])) * inputs["c"]), abs=1e-12)
+    grads = backward(g, values, "loss", input_grads=["x"])
+    fd = _fd_input_grad(g, inputs, None, "loss", "x")
+    assert max(rel_err(a, b) for a, b in zip(grads["x"].reshape(-1), fd.reshape(-1))) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_value_and_gradient_finite_at_extremes(dtype):
+    g = Graph()
+    g.sum(g.softplus(g.input("x")), name="loss")
+    x = np.array([-1e3, -40.0, 0.0, 40.0, 1e3], dtype=dtype)
+    values = forward(g, {"x": x}, dtype=dtype)
+    grad = backward(g, values, "loss", input_grads=["x"])["x"]
+    assert values["loss"].dtype == grad.dtype == dtype
+    assert np.all(np.isfinite(values["loss"])) and np.all(np.isfinite(grad))
+    assert values["loss"] == pytest.approx(1040.0 + np.log(2.0), rel=1e-6)
+    assert grad == pytest.approx([0.0, np.exp(-40.0), 0.5, 1.0, 1.0], rel=1e-6, abs=0.0)
+
+
+def test_forward_in_float32_views_the_store_and_computes_in_float32():
+    g = Graph()
+    g.linear(g.input("x"), g.param("w"), g.param("b"), name="h")
+    store = ParamStore([("w", np.ones((3, 2))), ("b", np.zeros(2))], dtype=np.float32)
+    values = forward(g, {"x": np.ones((4, 3))}, store, dtype=np.float32)
+    assert values["x"].dtype == values["h"].dtype == np.float32
+    assert np.shares_memory(values["w"], store["w"]) and np.shares_memory(values["b"], store["b"])
+    upcast = forward(g, {"x": np.ones((4, 3))}, store)
+    assert upcast["h"].dtype == np.float64 and not np.shares_memory(upcast["w"], store["w"])
+    assert np.array_equal(upcast["h"], values["h"])

@@ -14,12 +14,14 @@ from mvclust import (
     ModelConfig,
     ParamStore,
     assign_clusters,
+    backward,
     decode_bernoulli,
     decode_gaussian,
     elbo_bernoulli,
     elbo_gaussian,
     elbo_terms,
     encode_view,
+    forward,
     fuse_posteriors,
     generate,
     responsibilities,
@@ -552,6 +554,53 @@ def test_elbo_terms_match_numpy_rederivation(kind):
     total = (recon + gauss_kl + cat_kl + entropy).mean()
     scorer = elbo_bernoulli if kind == "bernoulli" else elbo_gaussian
     assert scorer(model, views, eps) == pytest.approx(total, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_float32_elbo_gradients_agree_with_float64(kind):
+    # the same float32-representable parameters and inputs, stepped in both
+    # dtypes; every gradient agrees within 1e-5 of its parameter's largest
+    # float64 gradient entry (about 20x the error seen on this net)
+    config = tiny_config(kind)
+    narrow = randomized_model(config, seed=40).params.clone(np.float32)
+    wide = narrow.clone(np.float64)
+    views = random_views(config, 16, seed=41)
+    eps = np.random.default_rng(42).standard_normal((16, 2))
+    inputs = {"x0": views[0], "x1": views[1], "eps0": eps}
+    inputs = {k: v.astype(np.float32) for k, v in inputs.items()}
+    graph = Model(config, wide).elbo_graph(1)
+    losses = []
+    for store in (narrow, wide):
+        store.zero_grads()
+        values = forward(graph, inputs, store, dtype=store.dtype)
+        assert values["loss"].dtype == store.dtype
+        backward(graph, values, "loss", store)
+        losses.append(float(values["loss"]))
+    assert losses[0] == pytest.approx(losses[1], rel=1e-5)
+    for name in wide.names():
+        assert narrow.grad(name).dtype == np.float32
+        scale = max(np.abs(wide.grad(name)).max(), 1e-3)
+        assert np.abs(narrow.grad(name) - wide.grad(name)).max() <= 1e-5 * scale, name
+
+
+def test_float32_bernoulli_elbo_with_saturated_decoder_is_finite():
+    # a head bias of +40 gives sigmoid(h) = 1 in float32, where a log(1 - mu)
+    # form of the likelihood reads log(0); the logit form stays finite
+    config = tiny_config("bernoulli")
+    model = randomized_model(config, seed=43)
+    for v in range(config.n_views):
+        model.params.set_value(f"dec{v}_b2", np.full(config.view_dims[v], 40.0))
+    narrow = model.params.clone(np.float32)
+    views = random_views(config, 6, seed=44)
+    inputs = {"x0": views[0], "x1": views[1], "eps0": np.random.default_rng(45).standard_normal((6, 2))}
+    graph = model.elbo_graph(1)
+    narrow.zero_grads()
+    values = forward(graph, inputs, narrow, dtype=np.float32)
+    backward(graph, values, "loss", narrow)
+    assert np.isfinite(values["loss"])
+    assert all(np.all(np.isfinite(narrow.grad(name))) for name in narrow.names())
+    wide = forward(graph, {k: v.astype(np.float32) for k, v in inputs.items()}, narrow.clone(np.float64))
+    assert float(values["loss"]) == pytest.approx(float(wide["loss"]), rel=1e-5)
 
 
 def test_elbo_multi_sample_averages_branches():

@@ -226,3 +226,52 @@ def test_checkpoint_trailing_bytes_name_file_and_parameter(tmp_path):
     path.write_bytes(raw + b"\0" * 3)
     with pytest.raises(ValueError, match=r"ckpt\.bin has 3 trailing bytes after the last parameter 'beta'"):
         ParamStore.load(path)
+
+
+def test_float32_store_keeps_its_dtype_through_adam_and_clone():
+    store = ParamStore([("w", np.ones((2, 3))), ("b", np.arange(3.0))], dtype=np.float32)
+    assert store.dtype == np.float32
+    for arena in (store._value, store._grad, store._m, store._v):
+        assert arena.dtype == np.float32
+    store.accumulate_grad("w", np.full((2, 3), 0.5))
+    store.adam_step(0.1)
+    assert store["w"].dtype == store.moments("w")[1].dtype == np.float32
+    assert store.clone().dtype == np.float32
+    wide = store.clone(np.float64)
+    assert wide.dtype == np.float64 and wide.step == store.step
+    for name in store.names():
+        assert np.array_equal(wide[name], store[name]) and np.array_equal(wide.grad(name), store.grad(name))
+        for got, want in zip(wide.moments(name), store.moments(name)):
+            assert np.array_equal(got, want)
+
+
+def test_float32_store_saves_the_bytes_of_a_float64_store_with_its_values(tmp_path):
+    rng = np.random.default_rng(2)
+    narrow = ParamStore([("w", rng.standard_normal((3, 4))), ("b", rng.standard_normal(4))], dtype=np.float32)
+    narrow.accumulate_grad("w", rng.standard_normal((3, 4)))
+    narrow.adam_step(0.05)
+    wide = narrow.clone(np.float64)
+    for include_moments in (True, False):
+        narrow.save(tmp_path / "narrow.bin", include_moments=include_moments)
+        wide.save(tmp_path / "wide.bin", include_moments=include_moments)
+        assert (tmp_path / "narrow.bin").read_bytes() == (tmp_path / "wide.bin").read_bytes()
+    loaded = ParamStore.load(tmp_path / "narrow.bin")
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded["w"], narrow["w"])
+
+
+def test_save_that_fails_partway_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path, before = _saved(tmp_path)
+    original = ParamStore._checkpoint_chunks
+
+    def failing(self, include_moments):
+        chunks = original(self, include_moments)
+        yield from (next(chunks) for _ in range(4))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ParamStore, "_checkpoint_chunks", failing)
+    store = ParamStore([("alpha", np.ones((2, 3))), ("beta", np.ones(4))])
+    with pytest.raises(OSError, match="disk full"):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

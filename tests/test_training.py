@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mvclust import (
     train,
 )
 from mvclust.model import softmax
-from mvclust.training import _lloyd, load_checkpoint, save_checkpoint
+from mvclust.training import TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
 
 from helpers import tiny_config
 
@@ -276,7 +277,7 @@ def test_train_zero_epochs_equals_initialization():
 
     data = normalize(dataset, "gaussian")
     mcfg = ModelConfig(data.dims, 2, 3, "gaussian", (8, 6), (6, 8))
-    expected = Model.initialize(mcfg, config.seed)
+    expected = Model.initialize(mcfg, config.seed, dtype=TRAIN_DTYPE)  # as train() builds it
     pretrain_autoencoders(expected, data, config)
     init_gmm(expected, data, config.seed)
     assert result.elbo_history == []
@@ -382,6 +383,59 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     other = synth_generate(3, 2, 50, 2, separation=3.0, view_dims=(6, 4), seed=1)
     with pytest.raises(ValueError, match="checkpoint"):
         train(other, small_config(epochs=3), resume_from=part_dir / "checkpoint-0002")
+
+
+@pytest.fixture(scope="module")
+def gaussian_checkpoint(tmp_path_factory):
+    part_dir = tmp_path_factory.mktemp("resume") / "run"
+    train(small_dataset(), small_config(epochs=2, checkpoint_every=2), out_dir=part_dir)
+    return part_dir / "checkpoint-0002"
+
+
+@pytest.mark.parametrize(
+    "field, overrides, dataset",
+    [
+        ("view_dims", {}, lambda: synth_generate(3, 2, 50, 2, separation=3.0, view_dims=(6, 4), seed=1)),
+        ("latent_dim", {"latent_dim": 3}, small_dataset),
+        ("n_clusters", {"n_clusters": 4}, small_dataset),
+        ("likelihood", {"likelihood": "bernoulli"}, small_dataset),
+        ("encoder_hidden", {"encoder_hidden": (8, 7)}, small_dataset),
+        ("decoder_hidden", {"decoder_hidden": (6, 9)}, small_dataset),
+    ],
+)
+def test_resume_rejects_a_different_model_by_field_name(gaussian_checkpoint, field, overrides, dataset):
+    with pytest.raises(ValueError, match=rf"checkpoint .* has {field}=.*config and dataset give {field}="):
+        train(dataset(), small_config(epochs=3, **overrides), resume_from=gaussian_checkpoint)
+
+
+def test_train_runs_in_float32_and_resumes_in_float32(gaussian_checkpoint):
+    fresh = train(small_dataset(), small_config(epochs=2))
+    assert fresh.model.params.dtype == np.float32 == TRAIN_DTYPE
+    model, *_ = load_checkpoint(gaussian_checkpoint)
+    assert model.params.dtype == np.float64  # archives load as float64 for inference
+    resumed = train(small_dataset(), small_config(epochs=3), resume_from=gaussian_checkpoint)
+    assert resumed.model.params.dtype == np.float32
+    assert resumed.model.params.step == model.params.step + 3  # one epoch of 90 rows in batches of 32
+
+
+@pytest.mark.parametrize("artifact", ["descriptor.json", "params.bin", "state.json"])
+def test_failed_checkpoint_write_leaves_the_previous_file(tmp_path, monkeypatch, artifact):
+    model = Model.initialize(tiny_config("gaussian"), 0)
+    save_checkpoint(tmp_path, model, 1, [-1.0], [])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == artifact:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    model.params.set_value("mix_logits", np.ones(3))
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path, model, 2, [-1.0, -0.5], [])
+    assert (tmp_path / artifact).read_bytes() == before[artifact]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 def test_train_requires_some_likelihood():
