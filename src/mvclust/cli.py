@@ -8,6 +8,7 @@ success, 2 for missing or invalid inputs, 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -72,7 +73,7 @@ def cmd_train(args) -> int:
     config_path = _require_file(args.config, "config")
     config = TrainConfig.from_file(config_path)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)  # re-validates
     dataset = load_dataset(manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

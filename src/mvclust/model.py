@@ -244,12 +244,14 @@ def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None,
     return mu, logvar
 
 
+@functools.cache
 def build_encoder_graph(config: ModelConfig, view: int) -> Graph:
     g = Graph()
     encoder_nodes(g, config, view, g.input("x"), names=("mu", "logvar"))
     return g
 
 
+@functools.cache
 def build_decoder_graph(config: ModelConfig, view: int) -> Graph:
     g = Graph()
     decoder_nodes(g, config, view, g.input("z"), names=("mu", "logvar"))
@@ -285,6 +287,7 @@ def _gamma_nodes(g: Graph, J: int, z: str, log_pi: str, means: str, logvars: str
     return g.div(gamma, g.sum(gamma, axis=1, keepdims=True))
 
 
+@functools.cache
 def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
     """The full training objective as one graph.
 
@@ -367,35 +370,25 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
 
 
 class Model:
-    """A ModelConfig plus its ParamStore, with cached computation graphs."""
+    """A ModelConfig plus its ParamStore; its graphs are cached per config."""
 
     def __init__(self, config: ModelConfig, params: ParamStore, normalization=None):
         self.config = config
         self.params = params
         self.normalization = normalization
-        self._graphs: dict = {}
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float64) -> "Model":
         return cls(config, init_params(config, seed, dtype))
 
     def encoder_graph(self, view: int) -> Graph:
-        key = ("enc", view)
-        if key not in self._graphs:
-            self._graphs[key] = build_encoder_graph(self.config, view)
-        return self._graphs[key]
+        return build_encoder_graph(self.config, view)
 
     def decoder_graph(self, view: int) -> Graph:
-        key = ("dec", view)
-        if key not in self._graphs:
-            self._graphs[key] = build_decoder_graph(self.config, view)
-        return self._graphs[key]
+        return build_decoder_graph(self.config, view)
 
     def elbo_graph(self, n_samples: int = 1) -> Graph:
-        key = ("elbo", n_samples)
-        if key not in self._graphs:
-            self._graphs[key] = build_elbo_graph(self.config, n_samples)
-        return self._graphs[key]
+        return build_elbo_graph(self.config, n_samples)
 
     def fusion_weights(self) -> FusionWeights:
         return FusionWeights(self.params["fusion_logits"].copy())
@@ -444,6 +437,17 @@ def _check_batch(x, dim, what) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{what} must be (n, {dim}), got shape {np.shape(x)}")
     return arr
+
+
+def _check_views(model: Model, views) -> list[np.ndarray]:
+    """One (n, d_v) batch per view of the model, all with the same n."""
+    m = model.config.n_views
+    if len(views) != m:
+        raise ValueError(f"expected {m} views, got {len(views)} (all views are required)")
+    mats = [_check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
+    if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
+        raise ValueError("all views must have the same number of rows")
+    return mats
 
 
 def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -524,12 +528,8 @@ def responsibilities(z, prior: GmmPrior) -> np.ndarray:
 def fused_posterior(model: Model, views) -> LatentPosterior:
     """Encode every view and fuse; ``views`` is one matrix per view."""
     m = model.config.n_views
-    if len(views) != m:
-        raise ValueError(f"expected {m} views, got {len(views)} (all views are required)")
-    mats = [_check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
+    mats = _check_views(model, views)
     n = mats[0].shape[0]
-    if any(mat.shape[0] != n for mat in mats):
-        raise ValueError("all views must have the same number of rows")
     weights = model.fusion_weights()
     means = np.empty((n, model.config.latent_dim))
     variances = np.empty((n, model.config.latent_dim))
@@ -567,16 +567,14 @@ def _normalize_noise(noise, n, latent_dim, n_samples):
 def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
     """Forward the objective graph; returns per-sample term arrays and the
     scalar batch-mean ELBO under keys recon/gauss_kl/cat_kl/entropy/
-    elbo_samples/elbo."""
-    m = model.config.n_views
-    if len(views) != m:
-        raise ValueError(f"expected {m} views, got {len(views)}")
-    mats = [_check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
-    n = mats[0].shape[0]
-    if any(mat.shape[0] != n for mat in mats):
-        raise ValueError("all views must have the same number of rows")
-    eps = _normalize_noise(noise, n, model.config.latent_dim, n_samples)
-    inputs = {f"x{v}": mats[v] for v in range(m)}
+    elbo_samples/elbo. Bernoulli models require data in [0, 1]."""
+    mats = _check_views(model, views)
+    if model.config.likelihood == "bernoulli":
+        for v, arr in enumerate(mats):
+            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+                raise ValueError(f"view {v} data must lie in [0, 1] for the Bernoulli objective")
+    eps = _normalize_noise(noise, mats[0].shape[0], model.config.latent_dim, n_samples)
+    inputs = {f"x{v}": mat for v, mat in enumerate(mats)}
     inputs.update({f"eps{l}": eps[l] for l in range(n_samples)})
     values = forward(model.elbo_graph(n_samples), inputs, model.params)
     keys = ("recon", "gauss_kl", "cat_kl", "entropy", "elbo_samples", "elbo")
@@ -587,10 +585,6 @@ def elbo_bernoulli(model: Model, views, noise, n_samples: int = 1) -> float:
     """Per-sample-mean ELBO for binary-normalized data in [0, 1]."""
     if model.config.likelihood != "bernoulli":
         raise ValueError("model decoders are not Bernoulli")
-    for v, x in enumerate(views):
-        arr = as_tensor(x)
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError(f"view {v} data must lie in [0, 1] for the Bernoulli objective")
     return float(elbo_terms(model, views, noise, n_samples)["elbo"])
 
 

@@ -212,18 +212,39 @@ def _finetune_graph(config: ModelConfig, view: int) -> Graph:
     return g
 
 
-def _run_steps(graph, store, X, epochs, config, stream):
-    """Mini-batch Adam on ``graph``'s "loss" with a per-epoch data order."""
+def _adam_epoch(graph, store, feeds, learning_rate, where) -> float:
+    """One pass of mini-batch Adam on ``graph``'s "loss" over ``feeds``, an
+    iterable of input dicts; returns the mean loss weighted by each batch's
+    rows (those of its first input). A ``NumericError`` is re-raised naming
+    ``where``, the batch and the largest parameters."""
+    total = 0.0
+    rows = 0
+    for batch_no, inputs in enumerate(feeds):
+        store.zero_grads()
+        try:
+            values = forward(graph, inputs, store, dtype=store.dtype)
+            backward(graph, values, "loss", store)
+        except NumericError as exc:
+            raise NumericError(f"{where} batch {batch_no}: {exc}; parameter norms: {_diagnostics(store)}") from exc
+        store.adam_step(learning_rate)
+        size = next(iter(inputs.values())).shape[0]
+        total += float(values["loss"]) * size
+        rows += size
+    return total / rows
+
+
+def _pretrain(graph, views: dict, fresh, X, epochs, config, stream, where) -> list[float]:
+    """Train copies of the model ``views`` (store name -> writable view) plus
+    the ``fresh`` (name, value) pairs on ``X``, in ``X``'s dtype, then write
+    the trained values back into the views. Returns the per-epoch losses."""
+    store = ParamStore([*views.items(), *fresh], dtype=X.dtype)
     losses = []
     for epoch in range(epochs):
-        total = 0.0
-        for batch in batch_iter(X.shape[0], config.batch_size, config.seed, epoch, stream=stream):
-            store.zero_grads()
-            values = forward(graph, {"x": X[batch]}, store, dtype=store.dtype)
-            backward(graph, values, "loss", store)
-            store.adam_step(config.learning_rate)
-            total += float(values["loss"]) * batch.shape[0]
-        losses.append(total / X.shape[0])
+        batches = batch_iter(X.shape[0], config.batch_size, config.seed, epoch, stream=stream)
+        feeds = ({"x": X[batch]} for batch in batches)
+        losses.append(_adam_epoch(graph, store, feeds, config.learning_rate, f"{where} epoch {epoch}"))
+    for name, view in views.items():
+        view[...] = store[name]
     return losses
 
 
@@ -231,11 +252,11 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
     """Greedy layer-wise pretraining, then per-view end-to-end fine-tuning.
 
     Each encoder layer is trained against a throwaway transposed decoder
-    layer under squared error; the trained weights land in the model store
-    (the mean half only for the posterior head, whose log-variance half
-    stays zero, i.e. variance 1). Fine-tuning then trains the real
-    encoder/decoder stacks of the view jointly. Every stage computes in the
-    model store's dtype. Returns per-view loss histories for diagnostics.
+    layer under squared error; the trained weights are written back through
+    views of the model store (the mean half only for the posterior head,
+    whose log-variance half stays zero, i.e. variance 1). Fine-tuning then
+    trains the real encoder/decoder stacks of the view jointly. Every stage
+    computes in the model store's dtype. Returns per-view loss histories for diagnostics.
     """
     mcfg = model.config
     histories = {}
@@ -243,51 +264,29 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
         X = dataset.matrices[v].astype(model.params.dtype, copy=False)
         enc_widths, _ = _layer_widths(mcfg, v)
         greedy_out = enc_widths[:-1] + [mcfg.latent_dim]  # head trains its mean half
+        n_stages = len(greedy_out) - 1
         current = X
         stage_losses = []
-        for stage in range(len(greedy_out) - 1):
+        for stage in range(n_stages):
             fan_in, fan_out = greedy_out[stage], greedy_out[stage + 1]
-            is_head = stage == len(greedy_out) - 2
+            hidden = stage < n_stages - 1
+            # the encoder side starts from and returns to the model's own
+            # weights (for the head, its mean half [:, :J]); only the
+            # throwaway transposed decoder layer is fresh
+            w = model.params[_enc(v, stage, "w")][:, :fan_out]
+            b = model.params[_enc(v, stage, "b")][:fan_out]
             rng = rng_for(config.seed, "pretrain-init", v, stage)
-            # the encoder side starts from the model's current weights (the
-            # mean half of the head); only the throwaway transposed decoder
-            # layer is fresh
-            keep = mcfg.latent_dim if is_head else None
-            store = ParamStore(
-                [
-                    ("w", model.params[_enc(v, stage, "w")][:, :keep]),
-                    ("b", model.params[_enc(v, stage, "b")][:keep]),
-                    ("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))),
-                    ("db", np.zeros(fan_in)),
-                ],
-                dtype=model.params.dtype,
-            )
-            graph = _mse_graph_pair(hidden_relu=not is_head)
-            stage_losses.append(
-                _run_steps(graph, store, current, config.pretrain_epochs, config, ("pretrain", v, stage))
-            )
-            # install the trained layer in the model
-            name_w, name_b = _enc(v, stage, "w"), _enc(v, stage, "b")
-            if is_head:
-                head_w = model.params[name_w].copy()
-                head_b = model.params[name_b].copy()
-                head_w[:, : mcfg.latent_dim] = store["w"]
-                head_b[: mcfg.latent_dim] = store["b"]
-                model.params.set_value(name_w, head_w)
-                model.params.set_value(name_b, head_b)
-            else:
-                model.params.set_value(name_w, store["w"])
-                model.params.set_value(name_b, store["b"])
-            code = current @ store["w"] + store["b"]
-            current = code if is_head else np.maximum(code, 0.0)
+            fresh = [("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))), ("db", np.zeros(fan_in))]
+            graph = _mse_graph_pair(hidden_relu=hidden)
+            stream, where = ("pretrain", v, stage), f"pretrain view {v} stage {stage}"
+            losses = _pretrain(graph, {"w": w, "b": b}, fresh, current, config.pretrain_epochs, config, stream, where)
+            stage_losses.append(losses)
+            if hidden:
+                current = np.maximum(current @ w + b, 0.0)
 
-        view_names = [name for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))]
-        store = ParamStore(((name, model.params[name]) for name in view_names), dtype=model.params.dtype)
-        fine_losses = _run_steps(
-            _finetune_graph(mcfg, v), store, X, config.finetune_epochs, config, ("finetune", v)
-        )
-        for name in view_names:
-            model.params.set_value(name, store[name])
+        views = {name: model.params[name] for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))}
+        stream, where = ("finetune", v), f"finetune view {v}"
+        fine_losses = _pretrain(_finetune_graph(mcfg, v), views, (), X, config.finetune_epochs, config, stream, where)
         histories[v] = {"greedy": stage_losses, "finetune": fine_losses}
     return histories
 
@@ -411,6 +410,17 @@ class _HistoryLog:
             csv.writer(fh).writerow(row)
 
 
+def _elbo_feeds(data: MultiViewDataset, config: TrainConfig, epoch: int):
+    """The ELBO graph's inputs for each batch of ``epoch``: the views' rows
+    and the batch's noise draws, in the epoch's data order."""
+    noise_rng = rng_for(config.seed, "noise", epoch)
+    for batch in batch_iter(data.n, config.batch_size, config.seed, epoch):
+        eps = noise_rng.standard_normal((config.mc_samples, batch.shape[0], config.latent_dim))
+        inputs = {f"x{v}": data.matrices[v][batch] for v in range(data.n_views)}
+        inputs.update({f"eps{l}": eps[l] for l in range(config.mc_samples)})
+        yield inputs
+
+
 def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_from=None) -> TrainResult:
     """Run the whole protocol; every stochastic choice derives from the seed.
 
@@ -448,26 +458,10 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
 
     graph = model.elbo_graph(config.mc_samples)
     log = _HistoryLog(out_dir / HISTORY_FILE if out_dir else None, fresh=not resume_from)
-    n = data.n
     for epoch in range(start_epoch, config.epochs):
         lr = config.learning_rate_at(epoch)
-        noise_rng = rng_for(config.seed, "noise", epoch)
-        total = 0.0
-        for batch_no, batch in enumerate(batch_iter(n, config.batch_size, config.seed, epoch)):
-            eps = noise_rng.standard_normal((config.mc_samples, batch.shape[0], config.latent_dim))
-            inputs = {f"x{v}": data.matrices[v][batch] for v in range(data.n_views)}
-            inputs.update({f"eps{l}": eps[l] for l in range(config.mc_samples)})
-            model.params.zero_grads()
-            try:
-                values = forward(graph, inputs, model.params, dtype=model.params.dtype)
-                backward(graph, values, "loss", model.params)
-            except NumericError as exc:
-                raise NumericError(
-                    f"epoch {epoch} batch {batch_no}: {exc}; parameter norms: {_diagnostics(model.params)}"
-                ) from exc
-            model.params.adam_step(lr)
-            total += float(values["elbo"]) * batch.shape[0]
-        history.append(total / n)
+        # the graph's loss is -elbo, so the negated mean loss is the mean ELBO exactly
+        history.append(-_adam_epoch(graph, model.params, _elbo_feeds(data, config, epoch), lr, f"epoch {epoch}"))
 
         scores = None
         is_last = epoch == config.epochs - 1

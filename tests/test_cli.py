@@ -76,6 +76,16 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     assert "nope.json" in captured.err
 
 
+def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
+    code = main([
+        "train", "--manifest", str(workspace["manifest"]),
+        "--config", str(workspace["config"]), "--out", str(tmp_path / "o"), "--seed", "-1",
+    ])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model").exists()
+
+
 def test_train_artifacts(workspace, capsys):
     out = workspace["out"]
     assert (out / "model" / "descriptor.json").exists()

@@ -23,6 +23,7 @@ from mvclust import (
     encode_view,
     forward,
     fuse_posteriors,
+    fused_posterior,
     generate,
     responsibilities,
     sample_latent,
@@ -402,6 +403,28 @@ def test_elbo_bernoulli_rejects_out_of_range_data():
     views = [np.full((2, 4), 1.5), np.zeros((2, 5))]
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         elbo_bernoulli(model, views, np.zeros((1, 2, 2)))
+
+
+def test_elbo_terms_rejects_out_of_range_bernoulli_data():
+    model = zero_model(tiny_config("bernoulli"))
+    views = [np.zeros((2, 4)), np.full((2, 5), 2.0)]
+    with pytest.raises(ValueError, match=r"view 1 data must lie in \[0, 1\]"):
+        elbo_terms(model, views, np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("score", [fused_posterior, lambda model, views: elbo_terms(model, views, np.zeros((1, 2, 2)))])
+def test_fusion_and_elbo_require_all_views_of_one_length(score):
+    model = zero_model(tiny_config("gaussian"))
+    with pytest.raises(ValueError, match=r"expected 2 views, got 1 \(all views are required\)"):
+        score(model, [np.zeros((2, 4))])
+    with pytest.raises(ValueError, match="same number of rows"):
+        score(model, [np.zeros((2, 4)), np.zeros((3, 5))])
+
+
+def test_graphs_are_built_once_per_config():
+    a, b = Model.initialize(tiny_config("gaussian"), seed=0), Model.initialize(tiny_config("gaussian"), seed=1)
+    assert a.elbo_graph(2) is b.elbo_graph(2) and a.elbo_graph() is not a.elbo_graph(2)
+    assert a.encoder_graph(1) is b.encoder_graph(1) and a.decoder_graph(0) is b.decoder_graph(0)
 
 
 def test_elbo_nonrecon_terms_match_quadrature():

@@ -182,6 +182,26 @@ def test_pretrain_zero_epochs_leaves_random_init():
         assert np.array_equal(model.params[name], value)
 
 
+def test_greedy_pretraining_writes_only_the_encoder_through_its_views():
+    dataset = normalize(small_dataset(), "gaussian")
+    config = small_config(pretrain_epochs=2, finetune_epochs=0)
+    mcfg = ModelConfig(dataset.dims, 2, 3, "gaussian", (8, 6), (6, 8))
+    model = Model.initialize(mcfg, seed=0, dtype=TRAIN_DTYPE)
+    before = {n: model.params[n].copy() for n in model.params.names()}
+    pretrain_autoencoders(model, dataset, config)
+    J = mcfg.latent_dim
+    for v in range(mcfg.n_views):
+        # the head trains its mean half; its log-variance half stays zero
+        head_w, head_b = model.params[f"enc{v}_w2"], model.params[f"enc{v}_b2"]
+        assert not np.any(head_w[:, J:]) and not np.any(head_b[J:])
+        assert not np.array_equal(head_w[:, :J], before[f"enc{v}_w2"][:, :J])
+        for name in (f"enc{v}_w0", f"enc{v}_b0", f"enc{v}_w1", f"enc{v}_b1"):
+            assert not np.array_equal(model.params[name], before[name]), name
+    for name in model.params.names():
+        if name.startswith("dec"):
+            assert np.array_equal(model.params[name], before[name]), name
+
+
 def test_pretrain_losses_trend_down():
     dataset = normalize(small_dataset(), "gaussian")
     config = small_config(pretrain_epochs=8, finetune_epochs=8, learning_rate=5e-3)
@@ -450,6 +470,21 @@ def test_divergent_training_aborts_with_diagnostics():
     config = small_config(epochs=3, learning_rate=1e30, pretrain_epochs=0, finetune_epochs=0)
     with pytest.raises(NumericError, match="parameter norms"):
         train(dataset, config)
+
+
+@pytest.mark.parametrize(
+    "epochs, where",
+    [
+        ((1, 0, 0), "pretrain view 0 stage 0 epoch 0 batch 1"),
+        ((0, 1, 0), "finetune view 0 epoch 0 batch 1"),
+        ((0, 0, 1), "epoch 0 batch 1"),
+    ],
+)
+def test_divergence_in_any_phase_names_where_it_happened(epochs, where):
+    pretrain, finetune, elbo = epochs
+    config = small_config(pretrain_epochs=pretrain, finetune_epochs=finetune, epochs=elbo, learning_rate=1e30)
+    with pytest.raises(NumericError, match=rf"^{where}: non-finite .*; parameter norms: "):
+        train(small_dataset(), config)
 
 
 def test_simplex_preserved_after_many_adam_steps():
