@@ -3,18 +3,20 @@
 
 The six ``mfeat-*`` files (https://archive.ics.uci.edu/dataset/72) each hold
 2000 whitespace-separated rows ordered by digit (200 rows per class). This
-script rewrites them as headerless CSV matrices plus a labels file and a
-manifest that ``mvclust train`` can consume:
+script rewrites them with ``mvclust.save_dataset`` as headerless CSV
+matrices plus a labels file and a manifest that ``mvclust train`` can
+consume:
 
     python scripts/prepare_uci_digits.py --src /path/to/mfeat --out data/uci_digits
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from mvclust import MultiViewDataset, save_dataset
 
 VIEWS = [
     ("pix", "mfeat-pix", 240),
@@ -35,10 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     src = Path(args.src)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    views = []
+    matrices = []
     for name, filename, dim in VIEWS:
         path = src / filename
         if not path.exists():
@@ -48,21 +47,16 @@ def main(argv=None) -> int:
         if matrix.shape != (N_SAMPLES, dim):
             print(f"error: {path} has shape {matrix.shape}, expected ({N_SAMPLES}, {dim})", file=sys.stderr)
             return 2
-        np.savetxt(out / f"{name}.csv", matrix, delimiter=",", fmt="%.17g")
-        views.append({"name": name, "dim": dim, "path": f"{name}.csv"})
+        matrices.append(matrix)
 
-    labels = np.repeat(np.arange(10), SAMPLES_PER_CLASS)
-    (out / "labels.txt").write_text("\n".join(str(v) for v in labels) + "\n")
-
-    manifest = {
-        "name": "uci_digits",
-        "n": N_SAMPLES,
-        "likelihood": "bernoulli",
-        "views": views,
-        "labels": "labels.txt",
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"manifest: {out / 'manifest.json'}")
+    dataset = MultiViewDataset(
+        name="uci_digits",
+        view_names=[name for name, _, _ in VIEWS],
+        matrices=matrices,
+        labels=np.repeat(np.arange(10), SAMPLES_PER_CLASS),
+        likelihood="bernoulli",
+    )
+    print(f"manifest: {save_dataset(dataset, args.out)}")
     return 0
 
 

@@ -13,12 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as metrics_mod
-from .data import LoadError, load_dataset, save_dataset, synth_generate
+from .data import LoadError, load_dataset, load_labels, save_dataset, save_json, save_labels, save_matrix
+from .data import synth_generate
 from .model import DESCRIPTOR_FILE, Model, assign_clusters, fused_posterior, generate
 from .numgrad import GraphError, NumericError
+from .numgrad.params import write_atomic
 from .seeding import rng_for
 from .training import TrainConfig, evaluate, train
 
@@ -55,17 +55,7 @@ def _model_inputs(model: Model, manifest_path):
 
 
 def _metrics_report(scores: dict) -> str:
-    return "".join(f"{key}: {scores[key]:.6f}\n" for key in ("acc", "nmi", "ari", "purity"))
-
-
-def _read_labels(path) -> np.ndarray:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise LoadError(f"label file {path} is empty")
-    try:
-        return np.array([int(t) for t in lines], dtype=np.int64)
-    except ValueError:
-        raise LoadError(f"label file {path} must hold one integer per line") from None
+    return "".join(f"{key}: {scores[key]:.6f}\n" for key in metrics_mod.SCORE_NAMES)
 
 
 def cmd_train(args) -> int:
@@ -80,8 +70,7 @@ def cmd_train(args) -> int:
 
     result = train(dataset, config, out_dir=out)
 
-    echo = {"manifest": str(manifest), "out": str(out), "config": config.to_dict()}
-    (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
+    save_json(out / "config.json", {"manifest": str(manifest), "out": str(out), "config": config.to_dict()})
 
     print(f"elbo: {result.elbo_history[-1]:.6f}" if result.elbo_history else "elbo: nan")
     # train() already scored its last epoch; only score again when it did not
@@ -90,14 +79,11 @@ def cmd_train(args) -> int:
         scores = evaluate(result.model, dataset)
     if scores is not None:
         report = _metrics_report(scores)
-        (out / "metrics.txt").write_text(report)
+        write_atomic(out / "metrics.txt", [report.encode()])
         print(report, end="")
     if args.embeddings:
-        data = dataset.matrices
-        if result.model.normalization is not None:
-            data = result.model.normalization.apply(data)
-        emb = fused_posterior(result.model, data).mean
-        np.savetxt(out / "embeddings.csv", emb, delimiter=",", fmt="%.17g")
+        data = result.model.normalization.apply(dataset.matrices)  # train() always records one
+        save_matrix(out / "embeddings.csv", fused_posterior(result.model, data).mean)
     print(f"artifacts: {out}")
     return 0
 
@@ -105,32 +91,22 @@ def cmd_train(args) -> int:
 def cmd_assign(args) -> int:
     model = _load_model(args.model)
     _, mats = _model_inputs(model, args.manifest)
-    labels = assign_clusters(model, mats)
-    Path(args.out).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+    save_labels(args.out, assign_clusters(model, mats))
     print(f"labels: {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    pred = _read_labels(_require_file(args.pred, "predictions file"))
-    truth = _read_labels(_require_file(args.truth, "truth file"))
-    if pred.shape[0] != truth.shape[0]:
-        raise LoadError(f"label counts differ: {pred.shape[0]} vs {truth.shape[0]}")
-    scores = {
-        "acc": metrics_mod.accuracy(pred, truth),
-        "nmi": metrics_mod.nmi(pred, truth),
-        "ari": metrics_mod.ari(pred, truth),
-        "purity": metrics_mod.purity(pred, truth),
-    }
-    print(_metrics_report(scores), end="")
+    pred = load_labels(_require_file(args.pred, "predictions file"), None)
+    truth = load_labels(_require_file(args.truth, "truth file"), None)
+    print(_metrics_report(metrics_mod.scores(pred, truth)), end="")
     return 0
 
 
 def cmd_embed(args) -> int:
     model = _load_model(args.model)
     _, mats = _model_inputs(model, args.manifest)
-    emb = fused_posterior(model, mats).mean
-    np.savetxt(args.out, emb, delimiter=",", fmt="%.17g")
+    save_matrix(args.out, fused_posterior(model, mats).mean)
     print(f"embeddings: {args.out}")
     return 0
 
@@ -143,8 +119,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for v in range(model.config.n_views):
-        samples = generate(model, v, args.cluster, noise)
-        np.savetxt(out / f"view{v}.csv", samples, delimiter=",", fmt="%.17g")
+        save_matrix(out / f"view{v}.csv", generate(model, v, args.cluster, noise))
     print(f"samples: {out}")
     return 0
 
@@ -223,9 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), 2)
-    except (LoadError, ValueError, GraphError) as exc:
+    except (FileNotFoundError, LoadError, ValueError, GraphError) as exc:
         return _fail(str(exc), 2)
     except NumericError as exc:
         return _fail(str(exc), 1)

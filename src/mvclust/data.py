@@ -1,4 +1,5 @@
-"""Multi-view dataset loading, normalization, batching and synthetic data.
+"""Multi-view dataset loading, normalization, batching and synthetic data,
+and the one writer of each plain-text artifact format.
 
 On disk a dataset is a JSON manifest next to one headerless CSV matrix per
 view (rows are samples) and an optional labels file with one non-negative
@@ -22,9 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .numgrad import as_tensor
+from .numgrad.params import write_atomic
 from .seeding import rng_for
 
 MANIFEST_FILE = "manifest.json"
+# values per chunk of a CSV write (about 25 KB of text): memory stays bounded,
+# and the heap is left as np.savetxt leaves it, which a chunk per row is not
+_CSV_CHUNK = 1024
 LIKELIHOODS = ("bernoulli", "gaussian")
 
 
@@ -136,11 +141,15 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     return np.ascontiguousarray(mat)
 
 
-def _load_labels(path: Path, n: int) -> np.ndarray:
+def load_labels(path, n) -> np.ndarray:
+    """One non-negative integer per non-blank line; with ``n`` not None the
+    file must hold exactly ``n`` of them."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) != n:
+    if not lines:
+        raise LoadError(f"labels file {path} is empty")
+    if n is not None and len(lines) != n:
         raise LoadError(f"labels file {path} has {len(lines)} entries, expected {n}")
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(len(lines), dtype=np.int64)
     for i, token in enumerate(lines):
         try:
             value = int(token)
@@ -150,6 +159,26 @@ def _load_labels(path: Path, n: int) -> np.ndarray:
             raise LoadError(f"labels file {path} row {i}: label {value} out of range (must be >= 0)")
         labels[i] = value
     return labels
+
+
+def save_labels(path, labels) -> None:
+    """The format ``load_labels`` reads, written atomically."""
+    write_atomic(path, [("\n".join(str(int(v)) for v in labels) + "\n").encode()])
+
+
+def save_matrix(path, mat) -> None:
+    """A headerless CSV row per row of the 2-D ``mat``, each value ``%.17g``
+    (exact round trip, the bytes of ``np.savetxt``), written atomically in
+    chunks of about ``_CSV_CHUNK`` values, so no whole file is held in memory."""
+    fmt = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    rows = max(1, _CSV_CHUNK // max(mat.shape[1], 1))
+    blocks = (mat[i : i + rows].tolist() for i in range(0, mat.shape[0], rows))
+    write_atomic(path, ("".join(fmt % tuple(row) for row in block).encode() for block in blocks))
+
+
+def save_json(path, obj) -> None:
+    """Indented JSON with a final newline, written atomically."""
+    write_atomic(path, [(json.dumps(obj, indent=2) + "\n").encode()])
 
 
 def load_dataset(manifest_path) -> MultiViewDataset:
@@ -178,7 +207,7 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         matrices.append(_load_matrix(base / view["path"], n, int(view["dim"]), view["name"]))
     labels = None
     if manifest.get("labels"):
-        labels = _load_labels(base / manifest["labels"], n)
+        labels = load_labels(base / manifest["labels"], n)
     return MultiViewDataset(
         name=str(manifest["name"]),
         view_names=view_names,
@@ -283,14 +312,14 @@ def save_dataset(dataset: MultiViewDataset, directory) -> Path:
     views = []
     for name, mat in zip(dataset.view_names, dataset.matrices):
         filename = f"{name}.csv"
-        np.savetxt(directory / filename, mat, delimiter=",", fmt="%.17g")
+        save_matrix(directory / filename, mat)
         views.append({"name": name, "dim": int(mat.shape[1]), "path": filename})
     manifest = {"name": dataset.name, "n": int(dataset.n), "views": views}
     if dataset.likelihood is not None:
         manifest["likelihood"] = dataset.likelihood
     if dataset.labels is not None:
-        (directory / "labels.txt").write_text("\n".join(str(int(v)) for v in dataset.labels) + "\n")
+        save_labels(directory / "labels.txt", dataset.labels)
         manifest["labels"] = "labels.txt"
     path = directory / MANIFEST_FILE
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    save_json(path, manifest)
     return path

@@ -161,3 +161,11 @@ def purity(pred, true) -> float:
     """Mean over predicted clusters of the majority true-class fraction."""
     table = contingency(pred, true)
     return float(table.max(axis=1).sum() / table.sum())
+
+
+SCORE_NAMES = ("acc", "nmi", "ari", "purity")
+
+
+def scores(pred, true) -> dict:
+    """All four scores, keyed by ``SCORE_NAMES`` in that order."""
+    return dict(zip(SCORE_NAMES, (accuracy(pred, true), nmi(pred, true), ari(pred, true), purity(pred, true))))

@@ -24,13 +24,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import NormalizationRecord, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
-from .numgrad.params import write_atomic
 from .seeding import rng_for
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -76,27 +76,6 @@ class ModelConfig:
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
-
-    def to_dict(self) -> dict:
-        return {
-            "view_dims": list(self.view_dims),
-            "latent_dim": self.latent_dim,
-            "n_clusters": self.n_clusters,
-            "likelihood": self.likelihood,
-            "encoder_hidden": list(self.encoder_hidden),
-            "decoder_hidden": list(self.decoder_hidden),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            view_dims=tuple(d["view_dims"]),
-            latent_dim=int(d["latent_dim"]),
-            n_clusters=int(d["n_clusters"]),
-            likelihood=str(d["likelihood"]),
-            encoder_hidden=tuple(d["encoder_hidden"]),
-            decoder_hidden=tuple(d["decoder_hidden"]),
-        )
 
 
 @dataclass
@@ -405,19 +384,17 @@ class Model:
     def save(self, directory, include_moments=False) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        descriptor = {"format_version": 1, "model": self.config.to_dict()}
+        descriptor = {"format_version": 1, "model": asdict(self.config)}
         if self.normalization is not None:
             descriptor["normalization"] = self.normalization.to_dict()
-        write_atomic(directory / DESCRIPTOR_FILE, [(json.dumps(descriptor, indent=2) + "\n").encode()])
+        save_json(directory / DESCRIPTOR_FILE, descriptor)
         self.params.save(directory / PARAMS_FILE, include_moments=include_moments)
 
     @classmethod
     def load(cls, directory) -> "Model":
-        from .data import NormalizationRecord
-
         directory = Path(directory)
         descriptor = json.loads((directory / DESCRIPTOR_FILE).read_text())
-        config = ModelConfig.from_dict(descriptor["model"])
+        config = ModelConfig(**descriptor["model"])
         params = ParamStore.load(directory / PARAMS_FILE)
         expected = param_shapes(config)
         if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):

@@ -9,14 +9,15 @@ k-means, evaluation and every saved artifact stay float64.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import MultiViewDataset, batch_iter, normalize
+from .data import MultiViewDataset, batch_iter, normalize, save_json
 from .model import (
     Model,
     ModelConfig,
@@ -34,7 +35,7 @@ from .seeding import rng_for
 
 CHECKPOINT_STATE_FILE = "state.json"
 HISTORY_FILE = "history.csv"
-_HISTORY_COLUMNS = ("epoch", "learning_rate", "elbo", "acc", "nmi", "ari", "purity")
+_HISTORY_COLUMNS = ("epoch", "learning_rate", "elbo", *metrics_mod.SCORE_NAMES)
 _VAR_FLOOR = 1e-4
 TRAIN_DTYPE = np.float32
 
@@ -63,43 +64,48 @@ class TrainConfig:
     def __post_init__(self):
         self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
         self.decoder_hidden = tuple(int(w) for w in self.decoder_hidden)
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min(self.epochs, self.pretrain_epochs, self.finetune_epochs) < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        lowest = {"n_clusters": 1, "latent_dim": 1, "decay_every": 1, "batch_size": 1, "mc_samples": 1, "epochs": 0,
+                  "pretrain_epochs": 0, "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
+        for name, low in lowest.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
+        """A JSON object of fields; anything else raises a ``ValueError`` naming the file."""
         raw = json.loads(Path(path).read_text())
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} must hold a JSON object of fields")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in raw:
+                if f.default is MISSING:
+                    raise ValueError(f"config file {path} is missing the required field {f.name!r}")
+            elif not _json_fits(raw[f.name], f.type):
+                raise ValueError(f"config file {path}: {f.name} must be {f.type}, got {raw[f.name]!r}")
         return cls(**raw)
 
     def learning_rate_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay ** (epoch // self.decay_every)
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a ``TrainConfig`` field annotated ``annotation``."""
+    if value is None:
+        return annotation.endswith("| None")
+    if annotation.startswith("tuple"):
+        return isinstance(value, list) and all(_json_fits(w, "int") for w in value)
+    kinds = {"int": int, "float": (int, float), "str | None": str}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 # -- k-means --------------------------------------------------------------
@@ -336,13 +342,7 @@ def evaluate(model: Model, dataset: MultiViewDataset) -> dict | None:
     mats = dataset.matrices
     if dataset.normalization is None and model.normalization is not None:
         mats = model.normalization.apply(mats)
-    pred = assign_clusters(model, mats)
-    return {
-        "acc": metrics_mod.accuracy(pred, dataset.labels),
-        "nmi": metrics_mod.nmi(pred, dataset.labels),
-        "ari": metrics_mod.ari(pred, dataset.labels),
-        "purity": metrics_mod.purity(pred, dataset.labels),
-    }
+    return metrics_mod.scores(assign_clusters(model, mats), dataset.labels)
 
 
 def _prepare_dataset(dataset: MultiViewDataset, config: TrainConfig):
@@ -367,7 +367,7 @@ def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metr
         "elbo_history": list(elbo_history),
         "metrics_history": list(metrics_history),
     }
-    write_atomic(directory / CHECKPOINT_STATE_FILE, [(json.dumps(state, indent=2) + "\n").encode()])
+    save_json(directory / CHECKPOINT_STATE_FILE, state)
 
 
 def load_checkpoint(directory):
@@ -377,14 +377,22 @@ def load_checkpoint(directory):
     return model, int(state["epoch_next"]), list(state["elbo_history"]), list(state["metrics_history"])
 
 
-def _check_resumable(found: ModelConfig, expected: ModelConfig, checkpoint) -> None:
+def _check_resumable(found: Model, expected: ModelConfig, record, checkpoint) -> None:
     """Reject a checkpoint whose model differs from the one the config and
-    dataset build; the message names the first differing field."""
+    dataset build, naming the first differing field, or whose normalization
+    record differs from the dataset's, naming the first differing view."""
     for f in fields(ModelConfig):
-        have, want = getattr(found, f.name), getattr(expected, f.name)
+        have, want = getattr(found.config, f.name), getattr(expected, f.name)
         if have != want:
             raise ValueError(
                 f"checkpoint {checkpoint} has {f.name}={have!r}, but the config and dataset give {f.name}={want!r}"
+            )
+    stored = found.normalization
+    for v, pair in enumerate(zip(record.offsets, record.scales)):
+        if stored is None or not all(map(np.array_equal, (stored.offsets[v], stored.scales[v]), pair)):
+            raise ValueError(
+                f"checkpoint {checkpoint} was trained on other data: its {record.kind} normalization "
+                f"differs from the dataset's in view {v}"
             )
 
 
@@ -393,21 +401,18 @@ def _diagnostics(params: ParamStore) -> str:
     return ", ".join(f"{n}:|max|={np.abs(params[n]).max():.3e}" for n in worst)
 
 
-class _HistoryLog:
-    def __init__(self, path, fresh):
-        self.path = Path(path) if path else None
-        if self.path and (fresh or not self.path.exists()):
-            with open(self.path, "w", newline="") as fh:
-                csv.writer(fh).writerow(_HISTORY_COLUMNS)
-
-    def append(self, epoch, lr, elbo, scores):
-        if not self.path:
-            return
-        row = [epoch, f"{lr:.12g}", f"{elbo:.12g}"]
-        for key in ("acc", "nmi", "ari", "purity"):
-            row.append("" if not scores else f"{scores[key]:.6f}")
-        with open(self.path, "a", newline="") as fh:
-            csv.writer(fh).writerow(row)
+def _write_history(path, history, metrics_history, config: TrainConfig) -> None:
+    """Rewrite ``history.csv`` from the run record: a row per finished epoch
+    with its learning rate and ELBO, and its scores where it was evaluated."""
+    scored = {entry["epoch"]: entry for entry in metrics_history}
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(_HISTORY_COLUMNS)
+    for epoch, elbo in enumerate(history):
+        scores = scored.get(epoch)
+        cells = ("" if scores is None else f"{scores[key]:.6f}" for key in metrics_mod.SCORE_NAMES)
+        writer.writerow([epoch, f"{config.learning_rate_at(epoch):.12g}", f"{elbo:.12g}", *cells])
+    write_atomic(path, [text.getvalue().encode()])
 
 
 def _elbo_feeds(data: MultiViewDataset, config: TrainConfig, epoch: int):
@@ -444,7 +449,7 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
     )
     if resume_from:
         model, start_epoch, history, metrics_history = load_checkpoint(resume_from)
-        _check_resumable(model.config, mcfg, resume_from)
+        _check_resumable(model, mcfg, data.normalization, resume_from)
         # exact for a checkpoint written by train(): it holds float32 values
         model.params = model.params.clone(TRAIN_DTYPE)
     else:
@@ -457,21 +462,21 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
         metrics_history: list[dict] = []
 
     graph = model.elbo_graph(config.mc_samples)
-    log = _HistoryLog(out_dir / HISTORY_FILE if out_dir else None, fresh=not resume_from)
+    if out_dir:
+        _write_history(out_dir / HISTORY_FILE, history, metrics_history, config)
     for epoch in range(start_epoch, config.epochs):
         lr = config.learning_rate_at(epoch)
         # the graph's loss is -elbo, so the negated mean loss is the mean ELBO exactly
         history.append(-_adam_epoch(graph, model.params, _elbo_feeds(data, config, epoch), lr, f"epoch {epoch}"))
 
-        scores = None
         is_last = epoch == config.epochs - 1
         if data.labels is not None and config.eval_every > 0 and ((epoch + 1) % config.eval_every == 0 or is_last):
-            scores = evaluate(model, data)
-            metrics_history.append({"epoch": epoch, **scores})
-        log.append(epoch, lr, history[-1], scores)
+            metrics_history.append({"epoch": epoch, **evaluate(model, data)})
 
-        if out_dir and config.checkpoint_every > 0 and (epoch + 1) % config.checkpoint_every == 0:
-            save_checkpoint(out_dir / f"checkpoint-{epoch + 1:04d}", model, epoch + 1, history, metrics_history)
+        if out_dir:
+            _write_history(out_dir / HISTORY_FILE, history, metrics_history, config)
+            if config.checkpoint_every > 0 and (epoch + 1) % config.checkpoint_every == 0:
+                save_checkpoint(out_dir / f"checkpoint-{epoch + 1:04d}", model, epoch + 1, history, metrics_history)
 
     if out_dir:
         model.save(out_dir / "model")

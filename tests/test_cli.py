@@ -1,6 +1,8 @@
 """End-to-end CLI behavior; every command is checked against the library."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,29 @@ def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model").exists()
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ([3], "config.json must hold a JSON object"),
+        ({}, "config.json is missing the required field 'n_clusters'"),
+        ({"n_clusters": 3, "batch_size": "256"}, "config.json: batch_size must be int, got '256'"),
+        ({"n_clusters": 3, "eval_every": -5}, "eval_every must be >= 0"),
+        ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
+    ],
+    ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every"],
+)
+def test_bad_config_file_exits_2_naming_the_file_or_field(workspace, tmp_path, capsys, config, named):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main([
+        "train", "--manifest", str(workspace["manifest"]), "--config", str(config_path), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and named in err
     assert not (tmp_path / "o" / "model").exists()
 
 
@@ -245,6 +270,16 @@ def test_eval_empty_file_is_usage_error(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_negative_label(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    pred.write_text("0\n-1\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("0\n1\n")
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 2
+    err = capsys.readouterr().err
+    assert "pred.txt row 1: label -1 out of range" in err
+
+
 def test_eval_count_mismatch(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("0\n1\n")
@@ -308,3 +343,47 @@ def test_synth_rejects_unknown_fields(tmp_path, capsys):
                                      "separation": 1.0, "view_dims": [3], "bogus": 1}))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def _artifact_commands(workspace, tmp_path):
+    """(argv, artifact) for every file a command writes besides the model archive."""
+    model = ["--model", str(workspace["model"])]
+    manifest = ["--manifest", str(workspace["manifest"])]
+    train = ["train", *manifest, "--config", str(workspace["config"]), "--out", str(tmp_path / "run"), "--embeddings"]
+    synth = ["synth", "--spec", str(workspace["root"] / "synth.json"), "--out", str(tmp_path / "data")]
+    generate = ["generate", *model, "--cluster", "0", "--count", "3", "--out", str(tmp_path / "g")]
+    return {
+        "assign labels": (["assign", *model, *manifest, "--out", str(tmp_path / "l.txt")], tmp_path / "l.txt"),
+        "embed": (["embed", *model, *manifest, "--out", str(tmp_path / "z.csv")], tmp_path / "z.csv"),
+        "generate view": (generate, tmp_path / "g" / "view0.csv"),
+        "dataset view": (synth, tmp_path / "data" / "view0.csv"),
+        "dataset labels": (synth, tmp_path / "data" / "labels.txt"),
+        "manifest": (synth, tmp_path / "data" / "manifest.json"),
+        "embeddings.csv": (train, tmp_path / "run" / "embeddings.csv"),
+        "metrics.txt": (train, tmp_path / "run" / "metrics.txt"),
+        "history.csv": (train, tmp_path / "run" / "history.csv"),
+        "config echo": (train, tmp_path / "run" / "config.json"),
+    }
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    ["assign labels", "embed", "generate view", "dataset view", "dataset labels", "manifest",
+     "embeddings.csv", "metrics.txt", "history.csv", "config echo"],
+)
+def test_failed_artifact_write_leaves_the_previous_file(workspace, tmp_path, monkeypatch, artifact):
+    argv, target = _artifact_commands(workspace, tmp_path)[artifact]
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(b"previous\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == target:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert target.read_bytes() == b"previous\n"
+    assert [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")] == []

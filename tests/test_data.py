@@ -17,7 +17,7 @@ from mvclust import (
     save_dataset,
     synth_generate,
 )
-from mvclust.data import MultiViewDataset
+from mvclust.data import MultiViewDataset, save_matrix
 
 
 def _write_dataset(tmp_path, matrices, labels=None, n=None, likelihood="gaussian"):
@@ -182,3 +182,14 @@ def test_save_load_roundtrip_identical(tmp_path):
     assert np.array_equal(back.labels, norm.labels)
     for got, want in zip(back.matrices, norm.matrices):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_save_matrix_writes_the_bytes_of_savetxt(tmp_path, dtype):
+    rng = np.random.default_rng(3)
+    mat = (rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5)).clip(-30, 30)).astype(dtype)
+    mat[0, :4] = [0.0, -0.0, np.inf, np.nan]
+    mat[1, 0] = np.finfo(dtype).tiny
+    save_matrix(tmp_path / "ours.csv", mat)
+    np.savetxt(tmp_path / "numpy.csv", mat, delimiter=",", fmt="%.17g")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()

@@ -379,6 +379,21 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path):
         assert np.array_equal(resumed.model.params[name], full.model.params[name])
 
 
+def test_resumed_run_leaves_the_history_csv_of_the_uninterrupted_run(tmp_path):
+    dataset = small_dataset()
+    config = small_config(epochs=4, seed=7, eval_every=1, checkpoint_every=2)
+    run = tmp_path / "run"
+    train(dataset, config, out_dir=run)
+    uninterrupted = (run / "history.csv").read_bytes()
+    assert len(uninterrupted.splitlines()) == 5
+    # into its own directory, where epochs 2 and 3 are already logged
+    train(dataset, config, out_dir=run, resume_from=run / "checkpoint-0002")
+    assert (run / "history.csv").read_bytes() == uninterrupted
+    # and into a fresh one, which gets the whole record
+    train(dataset, config, out_dir=tmp_path / "fresh", resume_from=run / "checkpoint-0002")
+    assert (tmp_path / "fresh" / "history.csv").read_bytes() == uninterrupted
+
+
 def test_save_checkpoint_writes_parameters_once(tmp_path, monkeypatch):
     model = Model.initialize(tiny_config("gaussian"), 0)
     model.params.step = 3
@@ -426,6 +441,13 @@ def gaussian_checkpoint(tmp_path_factory):
 def test_resume_rejects_a_different_model_by_field_name(gaussian_checkpoint, field, overrides, dataset):
     with pytest.raises(ValueError, match=rf"checkpoint .* has {field}=.*config and dataset give {field}="):
         train(dataset(), small_config(epochs=3, **overrides), resume_from=gaussian_checkpoint)
+
+
+def test_resume_rejects_other_data_of_the_same_shape(gaussian_checkpoint):
+    other = small_dataset(seed=1)
+    assert other.dims == small_dataset().dims
+    with pytest.raises(ValueError, match=r"checkpoint .* gaussian normalization differs from the dataset's in view 0"):
+        train(other, small_config(epochs=3), resume_from=gaussian_checkpoint)
 
 
 def test_train_runs_in_float32_and_resumes_in_float32(gaussian_checkpoint):
