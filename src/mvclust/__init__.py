@@ -18,17 +18,13 @@ from .model import (
     Model,
     ModelConfig,
     assign_clusters,
-    decode_bernoulli,
-    decode_gaussian,
-    elbo_bernoulli,
-    elbo_gaussian,
+    decode,
     elbo_terms,
     encode_view,
     fuse_posteriors,
     fused_posterior,
     generate,
     responsibilities,
-    sample_latent,
 )
 from .numgrad import Graph, GraphError, NumericError, ParamStore, backward, forward
 from .training import (

@@ -9,18 +9,32 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import inspect
 import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .data import LoadError, load_dataset, load_labels, save_dataset, save_json, save_labels, save_matrix
+from .data import LoadError, load_dataset, load_json, load_labels, save_dataset, save_json, save_labels, save_matrix
 from .data import synth_generate
 from .model import DESCRIPTOR_FILE, Model, assign_clusters, fused_posterior, generate
 from .numgrad import GraphError, NumericError
 from .numgrad.params import write_atomic
 from .seeding import rng_for
 from .training import TrainConfig, evaluate, train
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(int(d) for d in value)
+
+
+# how each synth spec field converts from JSON; a field the spec leaves out
+# takes synth_generate's default, and is missing where that has none
+_SYNTH_FIELDS = {
+    "n_clusters": int, "n_views": int, "n": int, "latent_dim": int, "separation": float,
+    "view_dims": _int_list, "seed": int, "noise": float, "likelihood": str,
+}
 
 
 def _fail(message: str, code: int) -> int:
@@ -70,7 +84,7 @@ def cmd_train(args) -> int:
 
     result = train(dataset, config, out_dir=out)
 
-    save_json(out / "config.json", {"manifest": str(manifest), "out": str(out), "config": config.to_dict()})
+    save_json(out / "config.json", {"manifest": str(manifest), "out": str(out), "config": dataclasses.asdict(config)})
 
     print(f"elbo: {result.elbo_history[-1]:.6f}" if result.elbo_history else "elbo: nan")
     # train() already scored its last epoch; only score again when it did not
@@ -125,23 +139,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = json.loads(_require_file(args.spec, "synth spec").read_text())
-    known = {"name", "n_clusters", "n_views", "n", "latent_dim", "separation", "view_dims", "seed", "noise", "likelihood"}
-    unknown = set(spec) - known
+    path = _require_file(args.spec, "synth spec")
+    spec = load_json(path, "synth spec")
+    name = spec.pop("name", None)
+    unknown = set(spec) - set(_SYNTH_FIELDS)
     if unknown:
         raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
-    name = spec.pop("name", None)
-    dataset = synth_generate(
-        n_clusters=int(spec["n_clusters"]),
-        n_views=int(spec["n_views"]),
-        n=int(spec["n"]),
-        latent_dim=int(spec["latent_dim"]),
-        separation=float(spec["separation"]),
-        view_dims=spec["view_dims"],
-        seed=int(spec.get("seed", 0)),
-        noise=float(spec.get("noise", 0.1)),
-        likelihood=str(spec.get("likelihood", "gaussian")),
-    )
+    params = inspect.signature(synth_generate).parameters.values()
+    missing = [p.name for p in params if p.default is p.empty and p.name not in spec]
+    if missing:
+        raise ValueError(f"synth spec {path} is missing the required fields {missing}")
+    kwargs = {}
+    for key, value in spec.items():
+        try:
+            kwargs[key] = _SYNTH_FIELDS[key](value)
+        except (TypeError, ValueError):
+            raise ValueError(f"synth spec {path}: {key} is malformed, got {value!r}") from None
+    dataset = synth_generate(**kwargs)
     if name:
         dataset.name = str(name)
     manifest = save_dataset(dataset, args.out)

@@ -34,7 +34,7 @@ LIKELIHOODS = ("bernoulli", "gaussian")
 
 
 class LoadError(ValueError):
-    """Dataset files failed validation; the message names the offender."""
+    """An input file failed validation; the message names the offender."""
 
 
 @dataclass
@@ -181,19 +181,33 @@ def save_json(path, obj) -> None:
     write_atomic(path, [(json.dumps(obj, indent=2) + "\n").encode()])
 
 
+def load_json(path, what) -> dict:
+    """The JSON object in file ``path``; a ``LoadError`` names ``what`` and
+    the file when it cannot be read, is not JSON or holds no object."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise LoadError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise LoadError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise LoadError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Read a manifest and every matrix it references, validating shapes."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise LoadError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    manifest = load_json(manifest_path, "manifest")
     for key in ("name", "n", "views"):
         if key not in manifest:
             raise LoadError(f"manifest {manifest_path} is missing the {key!r} field")
-    n = int(manifest["n"])
+    if not isinstance(manifest["views"], list) or not all(isinstance(view, dict) for view in manifest["views"]):
+        raise LoadError(f"manifest {manifest_path}: 'views' must be a list of objects, got {manifest['views']!r}")
+    try:
+        n = int(manifest["n"])
+    except (TypeError, ValueError):
+        raise LoadError(f"manifest {manifest_path}: 'n' must be an integer, got {manifest['n']!r}") from None
     likelihood = manifest.get("likelihood")
     if likelihood is not None and likelihood not in LIKELIHOODS:
         raise LoadError(f"manifest {manifest_path}: unknown likelihood {likelihood!r}")
@@ -203,8 +217,12 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         for key in ("name", "dim", "path"):
             if key not in view:
                 raise LoadError(f"manifest {manifest_path}: view {i} is missing {key!r}")
+        try:
+            dim = int(view["dim"])
+        except (TypeError, ValueError):
+            raise LoadError(f"manifest {manifest_path}: view {i} 'dim' must be an integer, got {view['dim']!r}") from None
         view_names.append(str(view["name"]))
-        matrices.append(_load_matrix(base / view["path"], n, int(view["dim"]), view["name"]))
+        matrices.append(_load_matrix(base / view["path"], n, dim, view["name"]))
     labels = None
     if manifest.get("labels"):
         labels = load_labels(base / manifest["labels"], n)
@@ -245,11 +263,9 @@ def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
     )
 
 
-def batch_iter(data, batch_size: int, seed: int, epoch: int, stream=()) -> list[np.ndarray]:
-    """Seeded permutation of the sample indices chunked into batches; the
-    last batch may be short. A pure function of (seed, stream, epoch).
-    ``data`` is a dataset or a plain sample count."""
-    n = data if isinstance(data, int) else data.n
+def batch_iter(n: int, batch_size: int, seed: int, epoch: int, stream=()) -> list[np.ndarray]:
+    """Seeded permutation of the ``n`` sample indices chunked into batches;
+    the last batch may be short. A pure function of (seed, stream, epoch)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = rng_for(seed, "batch", *stream, epoch).permutation(n)
@@ -276,6 +292,8 @@ def synth_generate(
     """
     if min(n_clusters, n_views, n, latent_dim) < 1:
         raise ValueError("n_clusters, n_views, n and latent_dim must be positive")
+    if likelihood not in LIKELIHOODS:
+        raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     view_dims = tuple(int(d) for d in view_dims)
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")

@@ -22,14 +22,13 @@ Fusion and the responsibilities gamma are defined once, by the node builders
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NormalizationRecord, save_json
+from .data import LIKELIHOODS, LoadError, NormalizationRecord, load_json, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
 from .seeding import rng_for
 
@@ -38,7 +37,6 @@ LOGVAR_MIN = -15.0
 LOGVAR_MAX = 15.0
 BERNOULLI_EPS = 1e-10
 GAMMA_FLOOR = 1e-10
-LIKELIHOODS = ("bernoulli", "gaussian")
 
 PARAMS_FILE = "params.bin"
 DESCRIPTOR_FILE = "descriptor.json"
@@ -393,14 +391,20 @@ class Model:
     @classmethod
     def load(cls, directory) -> "Model":
         directory = Path(directory)
-        descriptor = json.loads((directory / DESCRIPTOR_FILE).read_text())
-        config = ModelConfig(**descriptor["model"])
+        path = directory / DESCRIPTOR_FILE
+        descriptor = load_json(path, "model descriptor")
+        try:
+            config = ModelConfig(**descriptor["model"])
+            norm = descriptor.get("normalization")
+            normalization = NormalizationRecord.from_dict(norm) if norm else None
+        except KeyError as exc:
+            raise LoadError(f"model descriptor {path} is missing the {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"model descriptor {path} is invalid: {exc}") from None
         params = ParamStore.load(directory / PARAMS_FILE)
         expected = param_shapes(config)
         if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):
             raise ValueError(f"parameter archive does not match descriptor in {directory}")
-        norm = descriptor.get("normalization")
-        normalization = NormalizationRecord.from_dict(norm) if norm else None
         return cls(config, params, normalization)
 
 
@@ -458,24 +462,13 @@ def fuse_posteriors(per_view, weights: FusionWeights) -> LatentPosterior:
     return LatentPosterior(values[mu], values[var])
 
 
-def sample_latent(posterior: LatentPosterior, noise) -> np.ndarray:
-    """Reparameterized draw z = mean + sqrt(var) * noise."""
-    return posterior.mean + np.sqrt(posterior.var) * as_tensor(noise)
-
-
-def decode_bernoulli(model: Model, view: int, z) -> np.ndarray:
-    if model.config.likelihood != "bernoulli":
-        raise ValueError("model decoders are not Bernoulli")
+def decode(model: Model, view: int, z) -> np.ndarray:
+    """Decoded mean of view ``view`` for each z row: the clipped Bernoulli
+    probabilities or the Gaussian means."""
+    if not 0 <= view < model.config.n_views:
+        raise ValueError(f"view index {view} out of range")
     arr = _check_batch(z, model.config.latent_dim, "latent z")
     return forward(model.decoder_graph(view), {"z": arr}, model.params)["mu"]
-
-
-def decode_gaussian(model: Model, view: int, z) -> tuple[np.ndarray, np.ndarray]:
-    if model.config.likelihood != "gaussian":
-        raise ValueError("model decoders are not Gaussian")
-    arr = _check_batch(z, model.config.latent_dim, "latent z")
-    values = forward(model.decoder_graph(view), {"z": arr}, model.params)
-    return values["mu"], values["logvar"]
 
 
 @functools.cache
@@ -558,20 +551,6 @@ def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
     return {k: values[k] for k in keys}
 
 
-def elbo_bernoulli(model: Model, views, noise, n_samples: int = 1) -> float:
-    """Per-sample-mean ELBO for binary-normalized data in [0, 1]."""
-    if model.config.likelihood != "bernoulli":
-        raise ValueError("model decoders are not Bernoulli")
-    return float(elbo_terms(model, views, noise, n_samples)["elbo"])
-
-
-def elbo_gaussian(model: Model, views, noise, n_samples: int = 1) -> float:
-    """Per-sample-mean ELBO under Gaussian decoders."""
-    if model.config.likelihood != "gaussian":
-        raise ValueError("model decoders are not Gaussian")
-    return float(elbo_terms(model, views, noise, n_samples)["elbo"])
-
-
 def generate(model: Model, view: int, cluster: int, noise) -> np.ndarray:
     """Draw z from the chosen prior component and decode view ``view``.
 
@@ -586,8 +565,5 @@ def generate(model: Model, view: int, cluster: int, noise) -> np.ndarray:
     if eps2.ndim != 2 or eps2.shape[1] != model.config.latent_dim:
         raise ValueError(f"noise must be (n, {model.config.latent_dim})")
     z = prior.means[cluster] + np.sqrt(prior.variances[cluster]) * eps2
-    if model.config.likelihood == "bernoulli":
-        out = decode_bernoulli(model, view, z)
-    else:
-        out = decode_gaussian(model, view, z)[0]
+    out = decode(model, view, z)
     return out[0] if single else out

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import MultiViewDataset, batch_iter, normalize, save_json
+from .data import MultiViewDataset, batch_iter, load_json, normalize, save_json
 from .model import (
     Model,
     ModelConfig,
@@ -74,15 +73,10 @@ class TrainConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         """A JSON object of fields; anything else raises a ``ValueError`` naming the file."""
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} must hold a JSON object of fields")
+        raw = load_json(path, "config file")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
@@ -116,7 +110,6 @@ class KMeansResult:
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
-    n_iter: int
 
 
 def _pairwise_sq(points, centroids):
@@ -150,8 +143,7 @@ def _lloyd(points, centroids, max_iter):
     k = centroids.shape[0]
     labels = None
     trace = []
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         d2 = _pairwise_sq(points, centroids)
         new_labels = d2.argmin(axis=1)
         # reseed empties to the point farthest from its assigned centroid
@@ -173,7 +165,7 @@ def _lloyd(points, centroids, max_iter):
             if members.shape[0]:
                 centroids[c] = members.mean(axis=0)
     inertia = float(((points - centroids[labels]) ** 2).sum())
-    return KMeansResult(centroids, labels, inertia, it), trace
+    return KMeansResult(centroids, labels, inertia), trace
 
 
 def kmeans(points, n_clusters: int, seed: int, n_restarts: int = 20, max_iter: int = 300) -> KMeansResult:
@@ -373,7 +365,7 @@ def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metr
 def load_checkpoint(directory):
     directory = Path(directory)
     model = Model.load(directory)
-    state = json.loads((directory / CHECKPOINT_STATE_FILE).read_text())
+    state = load_json(directory / CHECKPOINT_STATE_FILE, "checkpoint state")
     return model, int(state["epoch_next"]), list(state["elbo_history"]), list(state["metrics_history"])
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,18 @@ def test_bad_config_file_exits_2_naming_the_file_or_field(workspace, tmp_path, c
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "o" / "model").exists()
+
+
+def test_malformed_config_json_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"n_clusters": 3,\n}')
+    code = main([
+        "train", "--manifest", str(workspace["manifest"]), "--config", str(config_path), "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"config file {config_path} is not valid JSON" in err
     assert not (tmp_path / "o" / "model").exists()
 
 
@@ -343,6 +356,59 @@ def test_synth_rejects_unknown_fields(tmp_path, capsys):
                                      "separation": 1.0, "view_dims": [3], "bogus": 1}))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"n_clusters": 2, "n_views": 1}, "missing the required fields ['n', 'latent_dim', 'separation', 'view_dims', 'seed']"),
+        ({"n_clusters": 2, "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": 3, "seed": 0},
+         "view_dims is malformed, got 3"),
+        ({"n_clusters": "two", "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": [3], "seed": 0},
+         "n_clusters is malformed, got 'two'"),
+        ({"n_clusters": 2, "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": [3], "seed": 0,
+          "likelihood": "poisson"}, "likelihood must be one of"),
+        ([3], "spec.json must hold a JSON object"),
+    ],
+    ids=["missing-fields", "view-dims-not-a-list", "count-not-a-number", "unknown-likelihood", "not-an-object"],
+)
+def test_bad_synth_spec_exits_2_naming_the_field(tmp_path, capsys, spec, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
+def _damage_descriptor(model_dir, edit):
+    path = model_dir / "descriptor.json"
+    descriptor = json.loads(path.read_text())
+    edit(descriptor)
+    path.write_text(json.dumps(descriptor))
+    return path
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["descriptor-without-model", "descriptor-unknown-field", "manifest-views-not-a-list", "manifest-n-not-a-number"],
+)
+def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path, capsys, damage):
+    model_dir, manifest = tmp_path / "model", workspace["manifest"]
+    shutil.copytree(workspace["model"], model_dir)
+    if damage == "descriptor-without-model":
+        named = _damage_descriptor(model_dir, lambda d: d.pop("model"))
+    elif damage == "descriptor-unknown-field":
+        named = _damage_descriptor(model_dir, lambda d: d["model"].update(depth=3))
+    else:
+        manifest = named = tmp_path / "manifest.json"
+        bad = {"views": 5} if damage == "manifest-views-not-a-list" else {"n": None}
+        manifest.write_text(json.dumps({"name": "x", "n": 3, "views": [], **bad}))
+    code = main(["assign", "--model", str(model_dir), "--manifest", str(manifest), "--out", str(tmp_path / "l.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(named) in err
+    assert not (tmp_path / "l.txt").exists()
 
 
 def _artifact_commands(workspace, tmp_path):

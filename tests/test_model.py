@@ -1,5 +1,5 @@
-"""Model operations: encoding, fusion, sampling, decoding, responsibilities,
-assignment, both ELBO objectives, generation."""
+"""Model operations: encoding, fusion, decoding, responsibilities,
+assignment, the ELBO objective under both likelihoods, generation."""
 
 import math
 
@@ -9,16 +9,12 @@ import pytest
 from mvclust import (
     FusionWeights,
     GmmPrior,
-    LatentPosterior,
     Model,
     ModelConfig,
     ParamStore,
     assign_clusters,
     backward,
-    decode_bernoulli,
-    decode_gaussian,
-    elbo_bernoulli,
-    elbo_gaussian,
+    decode,
     elbo_terms,
     encode_view,
     forward,
@@ -26,7 +22,6 @@ from mvclust import (
     fused_posterior,
     generate,
     responsibilities,
-    sample_latent,
 )
 from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, softmax
 
@@ -159,38 +154,17 @@ def test_fusion_weights_always_on_simplex():
         assert abs(w.sum() - 1.0) < 1e-12
 
 
-# -- sample_latent ------------------------------------------------------------------
-
-
-def test_sample_latent_zero_noise_returns_mean():
-    post = LatentPosterior(np.array([[0.3, -1.0]]), np.array([[2.0, 0.5]]))
-    assert np.array_equal(sample_latent(post, np.zeros((1, 2))), post.mean)
-
-
-def test_sample_latent_standard_normal_passthrough():
-    noise = np.random.default_rng(2).standard_normal((4, 3))
-    post = LatentPosterior(np.zeros((4, 3)), np.ones((4, 3)))
-    assert np.array_equal(sample_latent(post, noise), noise)
-
-
-def test_sample_latent_monte_carlo_moments():
-    n = 100_000
-    mean = np.array([0.5, -1.0])
-    var = np.array([2.0, 0.5])
-    post = LatentPosterior(np.tile(mean, (n, 1)), np.tile(var, (n, 1)))
-    z = sample_latent(post, np.random.default_rng(3).standard_normal((n, 2)))
-    se_mean = np.sqrt(var / n)
-    assert np.all(np.abs(z.mean(axis=0) - mean) < 3 * se_mean)
-    se_var = var * np.sqrt(2.0 / n)
-    assert np.all(np.abs(z.var(axis=0) - var) < 3 * se_var)
-
-
 # -- decoders ------------------------------------------------------------------------
+
+
+def decoder_logvar(model, view, z):
+    """The Gaussian decoder's clamped log-variance head, read from its graph."""
+    return forward(model.decoder_graph(view), {"z": np.atleast_2d(z)}, model.params)["logvar"]
 
 
 def test_decode_bernoulli_zero_network_is_half():
     model = zero_model(tiny_config("bernoulli"))
-    out = decode_bernoulli(model, 0, np.zeros((2, 2)))
+    out = decode(model, 0, np.zeros((2, 2)))
     assert np.all(out == 0.5)
 
 
@@ -204,7 +178,7 @@ def test_decode_bernoulli_hand_set_toy():
     model.params.set_value("dec0_b0", [-0.05])
     model.params.set_value("dec0_w1", [[1.5, -2.0]])
     model.params.set_value("dec0_b1", [0.2, 0.3])
-    out = decode_bernoulli(model, 0, [0.5])
+    out = decode(model, 0, [0.5])
     # relu(0.4 - 0.05) = 0.35; head = [0.725, -0.4]
     expected = [1 / (1 + math.exp(-0.725)), 1 / (1 + math.exp(0.4))]
     assert out.reshape(-1) == pytest.approx(expected, abs=1e-12)
@@ -217,13 +191,20 @@ def test_decode_bernoulli_clamps_saturated_head():
     )
     model = zero_model(config)
     model.params.set_value("dec0_b1", [100.0])
-    out = decode_bernoulli(model, 0, [0.0])
+    out = decode(model, 0, [0.0])
     assert out.reshape(-1)[0] == 1.0 - BERNOULLI_EPS
+
+
+@pytest.mark.parametrize("view", [-1, 2])
+def test_decode_rejects_an_out_of_range_view(view):
+    model = zero_model(tiny_config("gaussian"))
+    with pytest.raises(ValueError, match=f"view index {view} out of range"):
+        decode(model, view, np.zeros((1, 2)))
 
 
 def test_decode_gaussian_zero_network():
     model = zero_model(tiny_config("gaussian"))
-    mu, logvar = decode_gaussian(model, 1, np.zeros((3, 2)))
+    mu, logvar = decode(model, 1, np.zeros((3, 2))), decoder_logvar(model, 1, np.zeros((3, 2)))
     assert np.all(mu == 0.0)
     assert np.all(logvar == 0.0)
 
@@ -238,7 +219,7 @@ def test_decode_gaussian_hand_set_toy():
     model.params.set_value("dec0_b0", [0.1])
     model.params.set_value("dec0_w1", [[0.5, -1.0]])
     model.params.set_value("dec0_b1", [-0.3, 0.2])
-    mu, logvar = decode_gaussian(model, 0, [0.4])
+    mu, logvar = decode(model, 0, [0.4]), decoder_logvar(model, 0, [0.4])
     # relu(0.8 + 0.1) = 0.9; mean head 0.9*0.5 - 0.3 = 0.15; logvar -0.7
     assert mu.reshape(-1) == pytest.approx([0.15], abs=1e-12)
     assert logvar.reshape(-1) == pytest.approx([-0.7], abs=1e-12)
@@ -251,20 +232,11 @@ def test_decode_gaussian_logvar_clamped():
     )
     model = zero_model(config)
     model.params.set_value("dec0_b1", [0.0, 40.0])
-    _, logvar = decode_gaussian(model, 0, [0.0])
+    logvar = decoder_logvar(model, 0, [0.0])
     assert logvar.reshape(-1)[0] == LOGVAR_MAX
     model.params.set_value("dec0_b1", [0.0, -40.0])
-    _, logvar = decode_gaussian(model, 0, [0.0])
+    logvar = decoder_logvar(model, 0, [0.0])
     assert logvar.reshape(-1)[0] == LOGVAR_MIN
-
-
-def test_decoder_kind_mismatch():
-    model = zero_model(tiny_config("bernoulli"))
-    with pytest.raises(ValueError):
-        decode_gaussian(model, 0, np.zeros((1, 2)))
-    model = zero_model(tiny_config("gaussian"))
-    with pytest.raises(ValueError):
-        decode_bernoulli(model, 0, np.zeros((1, 2)))
 
 
 # -- responsibilities ------------------------------------------------------------------
@@ -308,10 +280,10 @@ def test_mix_logit_shift_leaves_gamma_and_elbo_unchanged():
     views = random_views(model.config, 5, seed=7)
     eps = np.random.default_rng(8).standard_normal((1, 5, 2))
     base_gamma = responsibilities(np.zeros((3, 2)), model.prior())
-    base_elbo = elbo_bernoulli(model, views, eps)
+    base_elbo = float(elbo_terms(model, views, eps)["elbo"])
     model.params.set_value("mix_logits", model.params["mix_logits"] + 7.5)
     assert responsibilities(np.zeros((3, 2)), model.prior()) == pytest.approx(base_gamma, abs=1e-12)
-    assert elbo_bernoulli(model, views, eps) == pytest.approx(base_elbo, abs=1e-10)
+    assert float(elbo_terms(model, views, eps)["elbo"]) == pytest.approx(base_elbo, abs=1e-10)
 
 
 # -- assign_clusters --------------------------------------------------------------------
@@ -377,7 +349,7 @@ def test_elbo_bernoulli_vanishing_construction():
     model = zero_model(config)
     x = np.array([[1.0, 0.0, 1.0]])
     model.params.set_value("dec0_b1", [50.0, -50.0, 50.0])
-    value = elbo_bernoulli(model, [x], np.zeros((1, 1, 2)))
+    value = float(elbo_terms(model, [x], np.zeros((1, 1, 2)))["elbo"])
     assert abs(value) < 1e-8
     terms = elbo_terms(model, [x], np.zeros((1, 1, 2)))
     assert terms["gauss_kl"] == pytest.approx([-1.0])  # -J/2
@@ -396,13 +368,6 @@ def test_elbo_cat_term_zero_when_gamma_equals_pi():
     eps = np.random.default_rng(18).standard_normal((1, 6, 2))
     terms = elbo_terms(model, [v for v in views], eps)
     assert np.abs(terms["cat_kl"]).max() < 1e-12
-
-
-def test_elbo_bernoulli_rejects_out_of_range_data():
-    model = zero_model(tiny_config("bernoulli"))
-    views = [np.full((2, 4), 1.5), np.zeros((2, 5))]
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        elbo_bernoulli(model, views, np.zeros((1, 2, 2)))
 
 
 def test_elbo_terms_rejects_out_of_range_bernoulli_data():
@@ -575,8 +540,7 @@ def test_elbo_terms_match_numpy_rederivation(kind):
     assert got["cat_kl"] == pytest.approx(cat_kl, abs=1e-10)
     assert got["entropy"] == pytest.approx(entropy, abs=1e-10)
     total = (recon + gauss_kl + cat_kl + entropy).mean()
-    scorer = elbo_bernoulli if kind == "bernoulli" else elbo_gaussian
-    assert scorer(model, views, eps) == pytest.approx(total, abs=1e-10)
+    assert float(got["elbo"]) == pytest.approx(total, abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
@@ -631,8 +595,8 @@ def test_elbo_multi_sample_averages_branches():
     model = randomized_model(config, seed=23)
     views = random_views(config, 4, seed=24)
     eps = np.random.default_rng(25).standard_normal((3, 4, 2))
-    combined = elbo_gaussian(model, views, eps, n_samples=3)
-    singles = [elbo_gaussian(model, views, eps[l : l + 1]) for l in range(3)]
+    combined = float(elbo_terms(model, views, eps, n_samples=3)["elbo"])
+    singles = [float(elbo_terms(model, views, eps[l : l + 1])["elbo"]) for l in range(3)]
     assert combined == pytest.approx(np.mean(singles), abs=1e-10)
 
 
@@ -644,7 +608,7 @@ def test_generate_zero_noise_decodes_component_mean():
     model = randomized_model(config, seed=26)
     prior = model.prior()
     out = generate(model, 0, 1, np.zeros(2))
-    expected = decode_bernoulli(model, 0, prior.means[1][None, :])[0]
+    expected = decode(model, 0, prior.means[1][None, :])[0]
     assert np.array_equal(out, expected)
 
 
