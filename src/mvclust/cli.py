@@ -9,32 +9,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .data import LoadError, load_dataset, load_json, load_labels, save_dataset, save_json, save_labels, save_matrix
-from .data import synth_generate
-from .model import DESCRIPTOR_FILE, Model, assign_clusters, fused_posterior, generate
+from .data import LoadError, json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
+from .data import save_labels, save_matrix, synth_generate
+from .model import Model, assign_clusters, fused_posterior, generate
 from .numgrad import GraphError, NumericError
 from .numgrad.params import write_atomic
 from .seeding import rng_for
 from .training import TrainConfig, evaluate, train
-
-
-def _int_list(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError("not a list")
-    return tuple(int(d) for d in value)
-
-
-# how each synth spec field converts from JSON; a field the spec leaves out
-# takes synth_generate's default, and is missing where that has none
-_SYNTH_FIELDS = {
-    "n_clusters": int, "n_views": int, "n": int, "latent_dim": int, "separation": float,
-    "view_dims": _int_list, "seed": int, "noise": float, "likelihood": str,
-}
 
 
 def _fail(message: str, code: int) -> int:
@@ -49,15 +34,8 @@ def _require_file(path, what) -> Path:
     return p
 
 
-def _load_model(path) -> Model:
-    p = Path(path)
-    if not (p / DESCRIPTOR_FILE).exists():
-        raise FileNotFoundError(f"model archive not found: {p}")
-    return Model.load(p)
-
-
 def _model_inputs(model: Model, manifest_path):
-    dataset = load_dataset(_require_file(manifest_path, "manifest"))
+    dataset = load_dataset(manifest_path)
     if dataset.dims != model.config.view_dims:
         raise LoadError(
             f"dataset view dims {dataset.dims} do not match model view dims {model.config.view_dims}"
@@ -73,9 +51,8 @@ def _metrics_report(scores: dict) -> str:
 
 
 def cmd_train(args) -> int:
-    manifest = _require_file(args.manifest, "manifest")
-    config_path = _require_file(args.config, "config")
-    config = TrainConfig.from_file(config_path)
+    manifest = Path(args.manifest)
+    config = TrainConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)  # re-validates
     dataset = load_dataset(manifest)
@@ -103,7 +80,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    model = _load_model(args.model)
+    model = Model.load(args.model)
     _, mats = _model_inputs(model, args.manifest)
     save_labels(args.out, assign_clusters(model, mats))
     print(f"labels: {args.out}")
@@ -118,7 +95,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    model = _load_model(args.model)
+    model = Model.load(args.model)
     _, mats = _model_inputs(model, args.manifest)
     save_matrix(args.out, fused_posterior(model, mats).mean)
     print(f"embeddings: {args.out}")
@@ -126,7 +103,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model = _load_model(args.model)
+    model = Model.load(args.model)
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     noise = rng_for(args.seed, "generate").standard_normal((args.count, model.config.latent_dim))
@@ -139,25 +116,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    path = _require_file(args.spec, "synth spec")
-    spec = load_json(path, "synth spec")
-    name = spec.pop("name", None)
-    unknown = set(spec) - set(_SYNTH_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
-    params = inspect.signature(synth_generate).parameters.values()
-    missing = [p.name for p in params if p.default is p.empty and p.name not in spec]
-    if missing:
-        raise ValueError(f"synth spec {path} is missing the required fields {missing}")
-    kwargs = {}
-    for key, value in spec.items():
-        try:
-            kwargs[key] = _SYNTH_FIELDS[key](value)
-        except (TypeError, ValueError):
-            raise ValueError(f"synth spec {path}: {key} is malformed, got {value!r}") from None
-    dataset = synth_generate(**kwargs)
+    spec, where = load_json(args.spec, "synth spec"), f"synth spec {args.spec}"
+    name = json_field(spec, "name", "str | None", where)
+    spec.pop("name", None)
+    dataset = synth_generate(**json_args(spec, synth_generate, where))
     if name:
-        dataset.name = str(name)
+        dataset.name = name
     manifest = save_dataset(dataset, args.out)
     print(f"manifest: {manifest}")
     return 0

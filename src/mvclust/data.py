@@ -16,7 +16,9 @@ integer per line::
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +33,13 @@ MANIFEST_FILE = "manifest.json"
 # and the heap is left as np.savetxt leaves it, which a chunk per row is not
 _CSV_CHUNK = 1024
 LIKELIHOODS = ("bernoulli", "gaussian")
+FORMAT_VERSION = 1  # of descriptor.json and state.json
+# the Python types of each plain JSON kind; every kind is one of these, a list
+# of one (tuple[int, ...]), or either of those | None
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+_JSON_KINDS = frozenset(
+    kind + none for base in _JSON_TYPES for kind in (base, f"tuple[{base}, ...]") for none in ("", " | None")
+)
 
 
 class LoadError(ValueError):
@@ -190,47 +199,81 @@ def load_json(path, what) -> dict:
         raise LoadError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
         raise LoadError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
+    if not json_fits(obj, "dict"):
         raise LoadError(f"{what} {path} must hold a JSON object")
     return obj
+
+
+def json_fits(value, kind: str) -> bool:
+    """Whether a JSON value is of ``kind``, written as an annotation: ``int``
+    (not a bool, not ``2.0``), ``float`` (an int too; not NaN or infinite,
+    which JSON lacks), ``str``, ``dict`` (a JSON object), ``tuple[K, ...]``
+    (a JSON list of kind K), any of these ``| None``; others raise KeyError."""
+    if value is None:
+        return kind.endswith(" | None")
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("tuple["):
+        return isinstance(value, list) and all(json_fits(item, kind[6:-6]) for item in value)
+    fits = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    return fits and (not isinstance(value, float) or math.isfinite(value))
+
+
+def json_field(obj: dict, key: str, kind: str, where: str):
+    """``obj[key]`` once it fits ``kind``; a field left out reads as None,
+    which only a ``| None`` kind takes. A ``LoadError`` names ``where`` and
+    the field."""
+    if key not in obj and not kind.endswith(" | None"):
+        raise LoadError(f"{where} is missing the required field {key!r}")
+    if not json_fits(obj.get(key), kind):
+        raise LoadError(f"{where}: {key} must be {kind}, got {obj[key]!r}")
+    return obj.get(key)
+
+
+def json_args(obj: dict, target, where: str) -> dict:
+    """``obj`` as keyword arguments of ``target``: its fields are the
+    parameters annotated with a JSON kind, those without a default are
+    required, and each value must fit its annotation. An unknown field, a
+    missing one or a value of another kind raises a ``LoadError`` naming
+    ``where`` and the field."""
+    params = [p for p in inspect.signature(target).parameters.values() if p.annotation in _JSON_KINDS]
+    unknown = sorted(set(obj) - {p.name for p in params})
+    if unknown:
+        raise LoadError(f"{where} has unknown fields {unknown}")
+    missing = [p.name for p in params if p.default is p.empty and p.name not in obj]
+    if missing:
+        raise LoadError(f"{where} is missing the required fields {missing}")
+    return {p.name: json_field(obj, p.name, p.annotation, where) for p in params if p.name in obj}
+
+
+def check_format_version(obj: dict, where: str) -> None:
+    version = json_field(obj, "format_version", "int", where)
+    if version != FORMAT_VERSION:
+        raise LoadError(f"{where} has format_version {version}, only {FORMAT_VERSION} is supported")
 
 
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Read a manifest and every matrix it references, validating shapes."""
     manifest_path = Path(manifest_path)
     manifest = load_json(manifest_path, "manifest")
-    for key in ("name", "n", "views"):
-        if key not in manifest:
-            raise LoadError(f"manifest {manifest_path} is missing the {key!r} field")
-    if not isinstance(manifest["views"], list) or not all(isinstance(view, dict) for view in manifest["views"]):
-        raise LoadError(f"manifest {manifest_path}: 'views' must be a list of objects, got {manifest['views']!r}")
-    try:
-        n = int(manifest["n"])
-    except (TypeError, ValueError):
-        raise LoadError(f"manifest {manifest_path}: 'n' must be an integer, got {manifest['n']!r}") from None
-    likelihood = manifest.get("likelihood")
+    where = f"manifest {manifest_path}"
+    name = json_field(manifest, "name", "str", where)
+    n = json_field(manifest, "n", "int", where)
+    likelihood = json_field(manifest, "likelihood", "str | None", where)
     if likelihood is not None and likelihood not in LIKELIHOODS:
-        raise LoadError(f"manifest {manifest_path}: unknown likelihood {likelihood!r}")
+        raise LoadError(f"{where}: unknown likelihood {likelihood!r}")
     base = manifest_path.parent
     view_names, matrices = [], []
-    for i, view in enumerate(manifest["views"]):
-        for key in ("name", "dim", "path"):
-            if key not in view:
-                raise LoadError(f"manifest {manifest_path}: view {i} is missing {key!r}")
-        try:
-            dim = int(view["dim"])
-        except (TypeError, ValueError):
-            raise LoadError(f"manifest {manifest_path}: view {i} 'dim' must be an integer, got {view['dim']!r}") from None
-        view_names.append(str(view["name"]))
-        matrices.append(_load_matrix(base / view["path"], n, dim, view["name"]))
-    labels = None
-    if manifest.get("labels"):
-        labels = load_labels(base / manifest["labels"], n)
+    for i, view in enumerate(json_field(manifest, "views", "tuple[dict, ...]", where)):
+        at = f"{where} view {i}"
+        view_names.append(json_field(view, "name", "str", at))
+        path = base / json_field(view, "path", "str", at)
+        matrices.append(_load_matrix(path, n, json_field(view, "dim", "int", at), view_names[-1]))
+    labels = json_field(manifest, "labels", "str | None", where)
     return MultiViewDataset(
-        name=str(manifest["name"]),
+        name=name,
         view_names=view_names,
         matrices=matrices,
-        labels=labels,
+        labels=load_labels(base / labels, n) if labels else None,
         likelihood=likelihood,
     )
 
@@ -278,7 +321,7 @@ def synth_generate(
     n: int,
     latent_dim: int,
     separation: float,
-    view_dims,
+    view_dims: tuple[int, ...],
     seed: int,
     noise: float = 0.1,
     likelihood: str = "gaussian",
@@ -294,7 +337,6 @@ def synth_generate(
         raise ValueError("n_clusters, n_views, n and latent_dim must be positive")
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
-    view_dims = tuple(int(d) for d in view_dims)
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")
     rng = rng_for(seed, "synth")

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LIKELIHOODS, LoadError, NormalizationRecord, load_json, save_json
+from .data import FORMAT_VERSION, LIKELIHOODS, LoadError, NormalizationRecord, check_format_version, json_args
+from .data import json_field, load_json, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
 from .seeding import rng_for
 
@@ -382,7 +383,7 @@ class Model:
     def save(self, directory, include_moments=False) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        descriptor = {"format_version": 1, "model": asdict(self.config)}
+        descriptor = {"format_version": FORMAT_VERSION, "model": asdict(self.config)}
         if self.normalization is not None:
             descriptor["normalization"] = self.normalization.to_dict()
         save_json(directory / DESCRIPTOR_FILE, descriptor)
@@ -392,15 +393,22 @@ class Model:
     def load(cls, directory) -> "Model":
         directory = Path(directory)
         path = directory / DESCRIPTOR_FILE
-        descriptor = load_json(path, "model descriptor")
+        descriptor, where = load_json(path, "model descriptor"), f"model descriptor {path}"
+        check_format_version(descriptor, where)
+        args = json_args(json_field(descriptor, "model", "dict", where), ModelConfig, where)
+        norm = json_field(descriptor, "normalization", "dict | None", where)
         try:
-            config = ModelConfig(**descriptor["model"])
-            norm = descriptor.get("normalization")
+            config = ModelConfig(**args)
             normalization = NormalizationRecord.from_dict(norm) if norm else None
         except KeyError as exc:
-            raise LoadError(f"model descriptor {path} is missing the {exc} field") from None
+            raise LoadError(f"{where} is missing the normalization field {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise LoadError(f"model descriptor {path} is invalid: {exc}") from None
+            raise LoadError(f"{where} is invalid: {exc}") from None
+        if normalization is not None:
+            have = (normalization.kind, [o.shape for o in normalization.offsets], [s.shape for s in normalization.scales])
+            want = (config.likelihood, *[[(d,) for d in config.view_dims]] * 2)
+            if have != want:
+                raise LoadError(f"{where}: normalization (kind, offset shapes, scale shapes) {have} does not fit {want}")
         params = ParamStore.load(directory / PARAMS_FILE)
         expected = param_shapes(config)
         if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):

@@ -186,7 +186,7 @@ class ParamStore:
             raise ValueError(f"truncated parameter checkpoint {path}: header needs {offset} bytes, has {len(buf)}")
         version, flags, step, count = struct.unpack_from("<IIQI", buf, 4)
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path} has format version {version}, only {_FORMAT_VERSION} is supported")
         n_arrays = 3 if flags & _FLAG_MOMENTS else 1
         entries = []  # (name, value[, m, v]) as read-only views of the file buffer
         name = None

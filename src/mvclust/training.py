@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import MultiViewDataset, batch_iter, load_json, normalize, save_json
+from .data import FORMAT_VERSION, LIKELIHOODS, MultiViewDataset, batch_iter, check_format_version, json_args
+from .data import json_field, load_json, normalize, save_json
 from .model import (
     Model,
     ModelConfig,
@@ -67,6 +68,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
+        if self.likelihood not in (None, *LIKELIHOODS):
+            raise ValueError(f"likelihood must be null or one of {LIKELIHOODS}, got {self.likelihood!r}")
         lowest = {"n_clusters": 1, "latent_dim": 1, "decay_every": 1, "batch_size": 1, "mc_samples": 1, "epochs": 0,
                   "pretrain_epochs": 0, "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
         for name, low in lowest.items():
@@ -75,31 +78,11 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """A JSON object of fields; anything else raises a ``ValueError`` naming the file."""
-        raw = load_json(path, "config file")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields in {path}: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name not in raw:
-                if f.default is MISSING:
-                    raise ValueError(f"config file {path} is missing the required field {f.name!r}")
-            elif not _json_fits(raw[f.name], f.type):
-                raise ValueError(f"config file {path}: {f.name} must be {f.type}, got {raw[f.name]!r}")
-        return cls(**raw)
+        """A JSON object of fields; anything else raises a ``LoadError`` naming the file."""
+        return cls(**json_args(load_json(path, "config file"), cls, f"config file {path}"))
 
     def learning_rate_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay ** (epoch // self.decay_every)
-
-
-def _json_fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a ``TrainConfig`` field annotated ``annotation``."""
-    if value is None:
-        return annotation.endswith("| None")
-    if annotation.startswith("tuple"):
-        return isinstance(value, list) and all(_json_fits(w, "int") for w in value)
-    kinds = {"int": int, "float": (int, float), "str | None": str}[annotation]
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 # -- k-means --------------------------------------------------------------
@@ -354,7 +337,7 @@ def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metr
     directory = Path(directory)
     model.save(directory, include_moments=True)
     state = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "epoch_next": epoch_next,
         "elbo_history": list(elbo_history),
         "metrics_history": list(metrics_history),
@@ -365,8 +348,11 @@ def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metr
 def load_checkpoint(directory):
     directory = Path(directory)
     model = Model.load(directory)
-    state = load_json(directory / CHECKPOINT_STATE_FILE, "checkpoint state")
-    return model, int(state["epoch_next"]), list(state["elbo_history"]), list(state["metrics_history"])
+    path = directory / CHECKPOINT_STATE_FILE
+    state, where = load_json(path, "checkpoint state"), f"checkpoint state {path}"
+    check_format_version(state, where)
+    kinds = {"epoch_next": "int", "elbo_history": "tuple[float, ...]", "metrics_history": "tuple[dict, ...]"}
+    return model, *(json_field(state, key, kind, where) for key, kind in kinds.items())
 
 
 def _check_resumable(found: Model, expected: ModelConfig, record, checkpoint) -> None:

@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvclust import Model, assign_clusters, fused_posterior, generate, load_dataset
+from mvclust import LoadError, Model, assign_clusters, fused_posterior, generate, load_dataset
 from mvclust.cli import main
 from mvclust.seeding import rng_for
+from mvclust.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +95,14 @@ def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
     "config, named",
     [
         ([3], "config.json must hold a JSON object"),
-        ({}, "config.json is missing the required field 'n_clusters'"),
+        ({}, "config.json is missing the required fields ['n_clusters']"),
         ({"n_clusters": 3, "batch_size": "256"}, "config.json: batch_size must be int, got '256'"),
         ({"n_clusters": 3, "eval_every": -5}, "eval_every must be >= 0"),
         ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
+        ({"n_clusters": 3, "likelihood": "poisson"}, "likelihood must be null or one of ('bernoulli', 'gaussian')"),
     ],
-    ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every"],
+    ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every",
+         "unknown-likelihood"],
 )
 def test_bad_config_file_exits_2_naming_the_file_or_field(workspace, tmp_path, capsys, config, named):
     config_path = tmp_path / "config.json"
@@ -363,9 +367,9 @@ def test_synth_rejects_unknown_fields(tmp_path, capsys):
     [
         ({"n_clusters": 2, "n_views": 1}, "missing the required fields ['n', 'latent_dim', 'separation', 'view_dims', 'seed']"),
         ({"n_clusters": 2, "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": 3, "seed": 0},
-         "view_dims is malformed, got 3"),
+         "view_dims must be tuple[int, ...], got 3"),
         ({"n_clusters": "two", "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": [3], "seed": 0},
-         "n_clusters is malformed, got 'two'"),
+         "n_clusters must be int, got 'two'"),
         ({"n_clusters": 2, "n_views": 1, "n": 5, "latent_dim": 2, "separation": 1.0, "view_dims": [3], "seed": 0,
           "likelihood": "poisson"}, "likelihood must be one of"),
         ([3], "spec.json must hold a JSON object"),
@@ -389,17 +393,23 @@ def _damage_descriptor(model_dir, edit):
     return path
 
 
-@pytest.mark.parametrize(
-    "damage",
-    ["descriptor-without-model", "descriptor-unknown-field", "manifest-views-not-a-list", "manifest-n-not-a-number"],
-)
+# how each damaged descriptor differs from the one train wrote
+_DESCRIPTOR_DAMAGE = {
+    "descriptor-without-model": lambda d: d.pop("model"),
+    "descriptor-unknown-field": lambda d: d["model"].update(depth=3),
+    "descriptor-format-version-7": lambda d: d.update(format_version=7),
+    "descriptor-record-of-one-view": lambda d: [d["normalization"][key].pop() for key in ("offsets", "scales")],
+    "descriptor-record-of-other-dim": lambda d: d["normalization"]["scales"][1].pop(),
+    "descriptor-record-of-other-kind": lambda d: d["normalization"].update(kind="bernoulli"),
+}
+
+
+@pytest.mark.parametrize("damage", [*_DESCRIPTOR_DAMAGE, "manifest-views-not-a-list", "manifest-n-not-a-number"])
 def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path, capsys, damage):
     model_dir, manifest = tmp_path / "model", workspace["manifest"]
     shutil.copytree(workspace["model"], model_dir)
-    if damage == "descriptor-without-model":
-        named = _damage_descriptor(model_dir, lambda d: d.pop("model"))
-    elif damage == "descriptor-unknown-field":
-        named = _damage_descriptor(model_dir, lambda d: d["model"].update(depth=3))
+    if damage in _DESCRIPTOR_DAMAGE:
+        named = _damage_descriptor(model_dir, _DESCRIPTOR_DAMAGE[damage])
     else:
         manifest = named = tmp_path / "manifest.json"
         bad = {"views": 5} if damage == "manifest-views-not-a-list" else {"n": None}
@@ -409,6 +419,79 @@ def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path
     assert code == 2
     assert err.startswith("error: ") and str(named) in err
     assert not (tmp_path / "l.txt").exists()
+
+
+# (input file, its damage, the field the error must name); each input is
+# written by the workspace run, so the damage is the only fault
+_BAD_FIELDS = {
+    "config-unknown-field": ("config", lambda d: d.update(momentum=0.9), "momentum"),
+    "config-missing-field": ("config", lambda d: d.pop("n_clusters"), "n_clusters"),
+    "config-float-count": ("config", lambda d: d.update(epochs=4.0), "epochs"),
+    "config-infinite-rate": ("config", lambda d: d.update(learning_rate=float("inf")), "learning_rate"),
+    "synth-unknown-field": ("synth", lambda d: d.update(depth=3), "depth"),
+    "synth-unsettable-parameter": ("synth", lambda d: d.update(return_latent=True), "return_latent"),
+    "synth-missing-field": ("synth", lambda d: d.pop("seed"), "seed"),
+    "synth-float-count-and-string-seed": ("synth", lambda d: d.update(n=7.9, seed="3"), "n"),
+    "synth-string-seed": ("synth", lambda d: d.update(seed="3"), "seed"),
+    "synth-nan-separation": ("synth", lambda d: d.update(separation=float("nan")), "separation"),
+    "descriptor-unknown-field": ("descriptor", lambda d: d["model"].update(depth=3), "depth"),
+    "descriptor-missing-field": ("descriptor", lambda d: d["model"].pop("latent_dim"), "latent_dim"),
+    "descriptor-string-dims": ("descriptor", lambda d: d["model"].update(view_dims="45"), "view_dims"),
+    "descriptor-float-latent-dim": ("descriptor", lambda d: d["model"].update(latent_dim=2.0), "latent_dim"),
+    "manifest-missing-field": ("manifest", lambda d: d.pop("n"), "n"),
+    "manifest-string-count": ("manifest", lambda d: d.update(n="120"), "n"),
+    "manifest-float-dim": ("manifest", lambda d: d["views"][1].update(dim=2.9), "dim"),
+    "manifest-view-missing-field": ("manifest", lambda d: d["views"][0].pop("path"), "path"),
+    "manifest-number-path": ("manifest", lambda d: d["views"][0].update(path=5), "path"),
+    "manifest-number-labels": ("manifest", lambda d: d.update(labels=5), "labels"),
+    "state-missing-field": ("state", lambda d: d.pop("epoch_next"), "epoch_next"),
+    "state-string-epoch": ("state", lambda d: d.update(epoch_next="1"), "epoch_next"),
+    "state-history-of-strings": ("state", lambda d: d.update(elbo_history=["-1.0"]), "elbo_history"),
+    "state-metrics-not-objects": ("state", lambda d: d.update(metrics_history=[1]), "metrics_history"),
+    "state-missing-metrics": ("state", lambda d: d.pop("metrics_history"), "metrics_history"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FIELDS))
+def test_every_json_input_names_the_file_and_the_field(workspace, tmp_path, capsys, case):
+    what, damage, field = _BAD_FIELDS[case]
+    model, data = tmp_path / "model", tmp_path / "data"
+    shutil.copytree(workspace["model"], model)
+    shutil.copytree(workspace["manifest"].parent, data)
+    save_checkpoint(model, Model.load(model), 1, [-1.0], [])
+    paths = {"config": tmp_path / "config.json", "synth": tmp_path / "synth.json", "state": model / "state.json",
+             "descriptor": model / "descriptor.json", "manifest": data / "manifest.json"}
+    shutil.copy(workspace["config"], paths["config"])
+    shutil.copy(workspace["root"] / "synth.json", paths["synth"])
+    path = paths[what]
+    obj = json.loads(path.read_text())
+    damage(obj)
+    path.write_text(json.dumps(obj))
+    if what == "state":
+        with pytest.raises(LoadError) as info:
+            load_checkpoint(model)
+        err = str(info.value)
+    else:
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "config": ["train", "--manifest", str(paths["manifest"]), "--config", str(path), *out],
+            "synth": ["synth", "--spec", str(path), *out],
+        }.get(what, ["assign", "--model", str(model), "--manifest", str(paths["manifest"]), *out])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    assert str(path) in err
+    assert re.search(rf"'{field}'|: {field} must be", err), err
+
+
+@pytest.mark.parametrize("what", ["descriptor", "state"])
+def test_unsupported_format_version_is_rejected_naming_the_file(workspace, tmp_path, what):
+    model = tmp_path / "model"
+    save_checkpoint(model, Model.load(workspace["model"]), 1, [-1.0], [])
+    path = model / f"{what}.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 3}))
+    with pytest.raises(LoadError, match=rf"{re.escape(str(path))} has format_version 3"):
+        load_checkpoint(model)
 
 
 def _artifact_commands(workspace, tmp_path):

@@ -1,5 +1,7 @@
 """ParamStore state, Adam updates, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,13 @@ def test_checkpoint_truncated_inside_an_array_names_file_and_parameter(tmp_path,
     path, raw = _saved(tmp_path, include_moments)
     path.write_bytes(raw[:-1])
     with pytest.raises(ValueError, match=r"truncated.*ckpt\.bin.*'beta' needs"):
+        ParamStore.load(path)
+
+
+def test_checkpoint_of_another_version_names_file_and_version(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(raw[:4] + struct.pack("<I", 9) + raw[8:])
+    with pytest.raises(ValueError, match=r"ckpt\.bin has format version 9, only 1 is supported"):
         ParamStore.load(path)
 
 

@@ -1,4 +1,4 @@
-"""The dataset preparation script, exercised on fabricated feature files."""
+"""The scripts: dataset preparation on fabricated feature files, and the CLI tour."""
 
 import importlib.util
 import sys
@@ -8,11 +8,11 @@ import numpy as np
 
 from mvclust import load_dataset
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "prepare_uci_digits.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("prepare_uci_digits", SCRIPT)
+def _load_script(name="prepare_uci_digits"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -40,3 +40,16 @@ def test_prepare_digits_missing_file(tmp_path, capsys):
     script = _load_script()
     assert script.main(["--src", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
     assert "mfeat-pix" in capsys.readouterr().err
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def test_cli_tour_is_byte_identical_across_runs(tmp_path):
+    tour = _load_script("cli_tour")
+    for name in ("a", "b"):
+        assert tour.main([str(tmp_path / name)]) == 0
+    first, second = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    assert "bernoulli/run/checkpoint-0004/params.bin" in first and "gaussian/generated/view1.csv" in first
+    assert first == second
