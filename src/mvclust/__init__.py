@@ -12,7 +12,6 @@ from .data import (
 )
 from .metrics import accuracy, ari, contingency, hungarian, nmi, purity
 from .model import (
-    FusionWeights,
     GmmPrior,
     LatentPosterior,
     Model,
@@ -24,6 +23,7 @@ from .model import (
     fuse_posteriors,
     fused_posterior,
     generate,
+    model_inputs,
     responsibilities,
 )
 from .numgrad import Graph, GraphError, NumericError, ParamStore, backward, forward

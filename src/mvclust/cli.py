@@ -15,7 +15,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .data import LoadError, json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
 from .data import save_labels, save_matrix, synth_generate
-from .model import Model, assign_clusters, fused_posterior, generate
+from .model import Model, assign_clusters, fused_posterior, generate, model_inputs
 from .numgrad import GraphError, NumericError
 from .numgrad.params import write_atomic
 from .seeding import rng_for
@@ -25,25 +25,6 @@ from .training import TrainConfig, evaluate, train
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _require_file(path, what) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{what} not found: {p}")
-    return p
-
-
-def _model_inputs(model: Model, manifest_path):
-    dataset = load_dataset(manifest_path)
-    if dataset.dims != model.config.view_dims:
-        raise LoadError(
-            f"dataset view dims {dataset.dims} do not match model view dims {model.config.view_dims}"
-        )
-    mats = dataset.matrices
-    if model.normalization is not None:
-        mats = model.normalization.apply(mats)
-    return dataset, mats
 
 
 def _metrics_report(scores: dict) -> str:
@@ -73,31 +54,29 @@ def cmd_train(args) -> int:
         write_atomic(out / "metrics.txt", [report.encode()])
         print(report, end="")
     if args.embeddings:
-        data = result.model.normalization.apply(dataset.matrices)  # train() always records one
-        save_matrix(out / "embeddings.csv", fused_posterior(result.model, data).mean)
+        save_matrix(out / "embeddings.csv", fused_posterior(result.model, model_inputs(result.model, dataset)).mean)
     print(f"artifacts: {out}")
     return 0
 
 
 def cmd_assign(args) -> int:
     model = Model.load(args.model)
-    _, mats = _model_inputs(model, args.manifest)
+    mats = model_inputs(model, load_dataset(args.manifest))
     save_labels(args.out, assign_clusters(model, mats))
     print(f"labels: {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    pred = load_labels(_require_file(args.pred, "predictions file"), None)
-    truth = load_labels(_require_file(args.truth, "truth file"), None)
+    pred = load_labels(args.pred, None)
+    truth = load_labels(args.truth, None)
     print(_metrics_report(metrics_mod.scores(pred, truth)), end="")
     return 0
 
 
 def cmd_embed(args) -> int:
     model = Model.load(args.model)
-    _, mats = _model_inputs(model, args.manifest)
-    save_matrix(args.out, fused_posterior(model, mats).mean)
+    save_matrix(args.out, fused_posterior(model, model_inputs(model, load_dataset(args.manifest))).mean)
     print(f"embeddings: {args.out}")
     return 0
 

@@ -80,7 +80,7 @@ class NormalizationRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationRecord":
         return cls(
-            kind=str(d["kind"]),
+            kind=d["kind"],
             offsets=[as_tensor(o) for o in d["offsets"]],
             scales=[as_tensor(s) for s in d["scales"]],
         )
@@ -121,28 +121,33 @@ class MultiViewDataset:
 
 
 def _find_bad_cell(path: Path):
-    """Locate the first unparsable cell for a precise load error."""
+    """(row, column, text) of the first cell that is not a finite number."""
     with open(path) as handle:
         for row, line in enumerate(handle):
             for col, cell in enumerate(line.rstrip("\n").split(",")):
                 try:
-                    float(cell)
+                    if math.isfinite(float(cell)):
+                        continue
                 except ValueError:
-                    return row, col, cell
+                    pass
+                return row, col, cell
     return None
 
 
 def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     try:
         mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        error = None if np.isfinite(mat).all() else "non-finite values"
     except OSError as exc:
         raise LoadError(f"view {view_name!r}: cannot read {path}: {exc}") from exc
     except ValueError as exc:
+        error = exc
+    if error is not None:
         bad = _find_bad_cell(path)
-        if bad is not None:
-            row, col, cell = bad
-            raise LoadError(f"view {view_name!r}: unparsable cell {cell!r} at {path} row {row} column {col}") from exc
-        raise LoadError(f"view {view_name!r}: malformed CSV {path}: {exc}") from exc
+        if bad is None:
+            raise LoadError(f"view {view_name!r}: malformed CSV {path}: {error}")
+        row, col, cell = bad
+        raise LoadError(f"view {view_name!r}: cell {cell!r} at {path} row {row} column {col} is not a finite number")
     if mat.shape != (n, dim):
         raise LoadError(
             f"view {view_name!r}: {path} has shape {mat.shape}, manifest declares ({n}, {dim})"
@@ -152,8 +157,12 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
 
 def load_labels(path, n) -> np.ndarray:
     """One non-negative integer per non-blank line; with ``n`` not None the
-    file must hold exactly ``n`` of them."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    file must hold exactly ``n`` of them. A ``LoadError`` names the file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise LoadError(f"cannot read labels file {path}: {exc}") from exc
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise LoadError(f"labels file {path} is empty")
     if n is not None and len(lines) != n:

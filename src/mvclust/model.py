@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FORMAT_VERSION, LIKELIHOODS, LoadError, NormalizationRecord, check_format_version, json_args
-from .data import json_field, load_json, save_json
+from .data import MultiViewDataset, json_field, load_json, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
 from .seeding import rng_for
 
@@ -41,6 +41,8 @@ GAMMA_FLOOR = 1e-10
 
 PARAMS_FILE = "params.bin"
 DESCRIPTOR_FILE = "descriptor.json"
+# the JSON kind of each field of a descriptor's normalization record
+_RECORD_KINDS = {"kind": "str", "offsets": "tuple[tuple[float, ...], ...]", "scales": "tuple[tuple[float, ...], ...]"}
 
 # batch size used when pushing whole datasets through the encoders
 _INFER_CHUNK = 4096
@@ -59,36 +61,29 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
-        object.__setattr__(self, "encoder_hidden", tuple(int(d) for d in self.encoder_hidden))
-        object.__setattr__(self, "decoder_hidden", tuple(int(d) for d in self.decoder_hidden))
         if not self.view_dims or any(d < 1 for d in self.view_dims):
             raise ValueError(f"view_dims must be positive, got {self.view_dims}")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.likelihood not in LIKELIHOODS:
-            raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {self.likelihood!r}")
-        if any(w < 1 for w in self.encoder_hidden) or any(w < 1 for w in self.decoder_hidden):
-            raise ValueError("hidden widths must be >= 1")
+        check_architecture(self, null_likelihood=False)
 
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
 
 
-@dataclass
-class FusionWeights:
-    """Free logits whose softmax is the view-weight vector on the simplex."""
-
-    logits: np.ndarray
-
-    def __post_init__(self):
-        self.logits = as_tensor(self.logits).reshape(-1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return softmax(self.logits)
+def check_architecture(config, null_likelihood: bool) -> None:
+    """Check the fields every model config has, naming the offender, and cast
+    ``config``'s hidden widths to int tuples. ``null_likelihood`` also admits
+    a ``likelihood`` of None."""
+    for name in ("encoder_hidden", "decoder_hidden"):
+        object.__setattr__(config, name, tuple(int(w) for w in getattr(config, name)))
+        if any(w < 1 for w in getattr(config, name)):
+            raise ValueError(f"{name} widths must be >= 1, got {getattr(config, name)}")
+    for name in ("latent_dim", "n_clusters"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if config.likelihood not in LIKELIHOODS and not (null_likelihood and config.likelihood is None):
+        allowed = f"{'null or ' if null_likelihood else ''}one of {LIKELIHOODS}"
+        raise ValueError(f"likelihood must be {allowed}, got {config.likelihood!r}")
 
 
 @dataclass
@@ -123,12 +118,6 @@ class LatentPosterior:
 
     mean: np.ndarray
     var: np.ndarray
-
-    def __post_init__(self):
-        self.mean = as_tensor(self.mean)
-        self.var = as_tensor(self.var)
-        if self.mean.shape != self.var.shape:
-            raise ValueError("mean and var must share a shape")
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -368,9 +357,6 @@ class Model:
     def elbo_graph(self, n_samples: int = 1) -> Graph:
         return build_elbo_graph(self.config, n_samples)
 
-    def fusion_weights(self) -> FusionWeights:
-        return FusionWeights(self.params["fusion_logits"].copy())
-
     def prior(self) -> GmmPrior:
         """The mixture in float64, whatever the store's dtype."""
         logvars = np.clip(as_tensor(self.params["gmm_logvars"]), LOGVAR_MIN, LOGVAR_MAX)
@@ -396,15 +382,14 @@ class Model:
         descriptor, where = load_json(path, "model descriptor"), f"model descriptor {path}"
         check_format_version(descriptor, where)
         args = json_args(json_field(descriptor, "model", "dict", where), ModelConfig, where)
-        norm = json_field(descriptor, "normalization", "dict | None", where)
         try:
             config = ModelConfig(**args)
-            normalization = NormalizationRecord.from_dict(norm) if norm else None
-        except KeyError as exc:
-            raise LoadError(f"{where} is missing the normalization field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise LoadError(f"{where} is invalid: {exc}") from None
-        if normalization is not None:
+        normalization = record = json_field(descriptor, "normalization", "dict | None", where)
+        if record is not None:
+            fields = {k: json_field(record, k, kind, f"{where} normalization") for k, kind in _RECORD_KINDS.items()}
+            normalization = NormalizationRecord.from_dict(fields)
             have = (normalization.kind, [o.shape for o in normalization.offsets], [s.shape for s in normalization.scales])
             want = (config.likelihood, *[[(d,) for d in config.view_dims]] * 2)
             if have != want:
@@ -439,6 +424,17 @@ def _check_views(model: Model, views) -> list[np.ndarray]:
     return mats
 
 
+def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
+    """The dataset's matrices as the encoders take them: a raw dataset's
+    through ``model.normalization``, an already-normalized one's unchanged.
+    The dataset must have the model's view dims."""
+    if dataset.dims != model.config.view_dims:
+        raise ValueError(f"dataset view dims {dataset.dims} do not match model view dims {model.config.view_dims}")
+    if dataset.normalization is None and model.normalization is not None:
+        return model.normalization.apply(dataset.matrices)
+    return dataset.matrices
+
+
 def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-view posterior statistics: (mean, log variance), each (n, J)."""
     if not 0 <= view < model.config.n_views:
@@ -455,14 +451,18 @@ def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
     return g, *fusion_nodes(g, per_view, g.input("w"))
 
 
-def fuse_posteriors(per_view, weights: FusionWeights) -> LatentPosterior:
-    """Convex combination of per-view (mean, variance) pairs."""
-    w = weights.weights
+def fuse_posteriors(per_view, logits) -> LatentPosterior:
+    """Convex combination of per-view (mean, variance) pairs, all of view 0's
+    mean shape, under the view weights ``softmax(logits)``."""
+    w = softmax(logits)
     if len(per_view) != w.shape[0]:
         raise ValueError(f"expected {w.shape[0]} views, got {len(per_view)} (all views are required)")
     inputs = {"w": w}
+    shape = np.shape(per_view[0][0])
     for v, (mu_v, var_v) in enumerate(per_view):
         inputs[f"mu{v}"], inputs[f"var{v}"] = mu_v, as_tensor(var_v)
+        if not np.shape(mu_v) == inputs[f"var{v}"].shape == shape:
+            raise ValueError(f"view {v} mean and variance must both have view 0's mean shape {shape}")
         if np.any(inputs[f"var{v}"] <= 0):
             raise ValueError(f"view {v} variances must be positive")
     g, mu, var = _fusion_graph(len(per_view))
@@ -492,15 +492,11 @@ def responsibilities(z, prior: GmmPrior) -> np.ndarray:
     ``GAMMA_FLOOR`` and renormalized so collapsed components cannot produce
     -inf downstream.
     """
-    z_arr = as_tensor(z)
-    single = z_arr.ndim == 1
-    z2 = z_arr[None, :] if single else z_arr
-    if z2.ndim != 2 or z2.shape[1] != prior.means.shape[1]:
-        raise ValueError(f"z must be (n, {prior.means.shape[1]})")
+    z2 = _check_batch(z, prior.means.shape[1], "z")
     g, gamma = _gamma_graph(prior.means.shape[1])
     inputs = {"z": z2, "log_pi": np.log(prior.weights), "means": prior.means, "logvars": np.log(prior.variances)}
     out = forward(g, inputs)[gamma]
-    return out[0] if single else out
+    return out[0] if np.ndim(z) == 1 else out
 
 
 def fused_posterior(model: Model, views) -> LatentPosterior:
@@ -508,7 +504,6 @@ def fused_posterior(model: Model, views) -> LatentPosterior:
     m = model.config.n_views
     mats = _check_views(model, views)
     n = mats[0].shape[0]
-    weights = model.fusion_weights()
     means = np.empty((n, model.config.latent_dim))
     variances = np.empty((n, model.config.latent_dim))
     for start in range(0, n, _INFER_CHUNK):
@@ -517,7 +512,7 @@ def fused_posterior(model: Model, views) -> LatentPosterior:
         for v in range(m):
             mu, logvar = encode_view(model, v, mats[v][sl])
             stats.append((mu, np.exp(logvar)))
-        post = fuse_posteriors(stats, weights)
+        post = fuse_posteriors(stats, model.params["fusion_logits"])
         means[sl] = post.mean
         variances[sl] = post.var
     return LatentPosterior(means, variances)
@@ -567,11 +562,7 @@ def generate(model: Model, view: int, cluster: int, noise) -> np.ndarray:
     prior = model.prior()
     if not 0 <= cluster < prior.n_clusters:
         raise ValueError(f"cluster index {cluster} out of range [0, {prior.n_clusters})")
-    eps = as_tensor(noise)
-    single = eps.ndim == 1
-    eps2 = eps[None, :] if single else eps
-    if eps2.ndim != 2 or eps2.shape[1] != model.config.latent_dim:
-        raise ValueError(f"noise must be (n, {model.config.latent_dim})")
-    z = prior.means[cluster] + np.sqrt(prior.variances[cluster]) * eps2
+    eps = _check_batch(noise, model.config.latent_dim, "noise")
+    z = prior.means[cluster] + np.sqrt(prior.variances[cluster]) * eps
     out = decode(model, view, z)
-    return out[0] if single else out
+    return out[0] if np.ndim(noise) == 1 else out

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import FORMAT_VERSION, LIKELIHOODS, MultiViewDataset, batch_iter, check_format_version, json_args
+from .data import FORMAT_VERSION, MultiViewDataset, batch_iter, check_format_version, json_args
 from .data import json_field, load_json, normalize, save_json
 from .model import (
     Model,
@@ -24,9 +24,11 @@ from .model import (
     _enc,
     _layer_widths,
     assign_clusters,
+    check_architecture,
     decoder_nodes,
     encoder_nodes,
     fused_posterior,
+    model_inputs,
     param_shapes,
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
@@ -62,16 +64,13 @@ class TrainConfig:
     eval_every: int = 10
 
     def __post_init__(self):
-        self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
-        self.decoder_hidden = tuple(int(w) for w in self.decoder_hidden)
+        check_architecture(self, null_likelihood=True)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
-        if self.likelihood not in (None, *LIKELIHOODS):
-            raise ValueError(f"likelihood must be null or one of {LIKELIHOODS}, got {self.likelihood!r}")
-        lowest = {"n_clusters": 1, "latent_dim": 1, "decay_every": 1, "batch_size": 1, "mc_samples": 1, "epochs": 0,
-                  "pretrain_epochs": 0, "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
+        lowest = {"decay_every": 1, "batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
+                  "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
         for name, low in lowest.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -308,16 +307,11 @@ class TrainResult:
 
 
 def evaluate(model: Model, dataset: MultiViewDataset) -> dict | None:
-    """ACC/NMI/ARI/purity of the model's labels, or None without ground truth.
-
-    Raw datasets are passed through the model's stored normalization record.
-    """
+    """ACC/NMI/ARI/purity of the model's labels on ``model_inputs(model,
+    dataset)``, or None without ground truth."""
     if dataset.labels is None:
         return None
-    mats = dataset.matrices
-    if dataset.normalization is None and model.normalization is not None:
-        mats = model.normalization.apply(mats)
-    return metrics_mod.scores(assign_clusters(model, mats), dataset.labels)
+    return metrics_mod.scores(assign_clusters(model, model_inputs(model, dataset)), dataset.labels)
 
 
 def _prepare_dataset(dataset: MultiViewDataset, config: TrainConfig):

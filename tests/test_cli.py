@@ -100,9 +100,10 @@ def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
         ({"n_clusters": 3, "eval_every": -5}, "eval_every must be >= 0"),
         ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
         ({"n_clusters": 3, "likelihood": "poisson"}, "likelihood must be null or one of ('bernoulli', 'gaussian')"),
+        ({"n_clusters": 3, "encoder_hidden": [0]}, "encoder_hidden widths must be >= 1, got (0,)"),
     ],
     ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every",
-         "unknown-likelihood"],
+         "unknown-likelihood", "encoder-hidden-zero"],
 )
 def test_bad_config_file_exits_2_naming_the_file_or_field(workspace, tmp_path, capsys, config, named):
     config_path = tmp_path / "config.json"
@@ -256,6 +257,34 @@ def test_assign_dim_mismatch_diagnosed(workspace, tmp_path, capsys):
     assert "view dims" in capsys.readouterr().err
 
 
+# the flags each command reads a file or directory from
+_INPUT_FLAGS = {"train": ("--manifest", "--config"), "synth": ("--spec",), "eval": ("--pred", "--truth"),
+                "assign": ("--model", "--manifest")}
+_FILE_INPUTS = [("assign", "--manifest"), ("train", "--config"), ("synth", "--spec"), ("eval", "--pred"),
+                ("eval", "--truth")]
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [*((command, flag, kind) for command, flag in _FILE_INPUTS for kind in ("missing", "directory")),
+     ("assign", "--model", "missing")],
+)
+def test_an_unreadable_input_path_exits_2_naming_it(workspace, tmp_path, capsys, command, flag, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    paths = {"--model": workspace["model"], "--manifest": workspace["manifest"], "--config": workspace["config"],
+             "--pred": labels, "--truth": labels, flag: path}
+    argv = [command, *(arg for f in _INPUT_FLAGS[command] for arg in (f, str(paths[f])))]
+    out = tmp_path / "out"
+    assert main(argv if command == "eval" else [*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
+
+
 def test_eval_identical_files(tmp_path, capsys):
     labels = tmp_path / "l.txt"
     labels.write_text("0\n0\n1\n1\n2\n")
@@ -401,6 +430,7 @@ _DESCRIPTOR_DAMAGE = {
     "descriptor-record-of-one-view": lambda d: [d["normalization"][key].pop() for key in ("offsets", "scales")],
     "descriptor-record-of-other-dim": lambda d: d["normalization"]["scales"][1].pop(),
     "descriptor-record-of-other-kind": lambda d: d["normalization"].update(kind="bernoulli"),
+    "descriptor-record-nan-offset": lambda d: d["normalization"]["offsets"][0].__setitem__(0, float("nan")),
 }
 
 

@@ -64,9 +64,12 @@ def test_row_count_mismatch_names_file(tmp_path):
 
 def test_unparsable_cell_names_row_and_column(tmp_path):
     path = _write_dataset(tmp_path, [np.zeros((2, 2))])
-    (tmp_path / "v0.csv").write_text("0.0,1.0\n0.5,oops\n")
-    with pytest.raises(LoadError, match=r"row 1 column 1"):
-        load_dataset(path)
+    # numpy parses nan and inf; a view holding one is rejected all the same
+    for cell in ("oops", "nan", "inf", "-inf"):
+        (tmp_path / "v0.csv").write_text(f"0.0,1.0\n0.5,{cell}\n")
+        with pytest.raises(LoadError, match=r"row 1 column 1") as caught:
+            load_dataset(path)
+        assert f"view 'v0': cell '{cell}' at {tmp_path / 'v0.csv'} row 1 column 1" in str(caught.value)
 
 
 def test_negative_label_rejected(tmp_path):

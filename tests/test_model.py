@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mvclust import (
-    FusionWeights,
     GmmPrior,
     Model,
     ModelConfig,
@@ -21,8 +20,10 @@ from mvclust import (
     fuse_posteriors,
     fused_posterior,
     generate,
+    model_inputs,
     responsibilities,
 )
+from mvclust.data import MultiViewDataset
 from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, softmax
 
 from helpers import gamma_direct, random_views, randomized_model, tiny_config
@@ -81,7 +82,7 @@ def test_encode_dimension_mismatch():
 def test_fuse_single_view_is_identity():
     mu = np.array([[1.0, 2.0]])
     var = np.array([[0.5, 3.0]])
-    post = fuse_posteriors([(mu, var)], FusionWeights(np.zeros(1)))
+    post = fuse_posteriors([(mu, var)], np.zeros(1))
     assert np.array_equal(post.mean, mu)
     assert np.array_equal(post.var, var)
 
@@ -92,7 +93,7 @@ def test_fuse_equal_weights_arithmetic():
             (np.array([[0.0, 2.0]]), np.array([[1.0, 1.0]])),
             (np.array([[2.0, 0.0]]), np.array([[3.0, 1.0]])),
         ],
-        FusionWeights(np.zeros(2)),
+        np.zeros(2),
     )
     assert post.mean.reshape(-1) == pytest.approx([1.0, 1.0])
     assert post.var.reshape(-1) == pytest.approx([2.0, 1.0])
@@ -102,7 +103,7 @@ def test_fuse_matches_scripted_convex_combination():
     rng = np.random.default_rng(8)
     logits = rng.standard_normal(3)
     stats = [(rng.standard_normal((6, 4)), rng.uniform(0.1, 2.0, (6, 4))) for _ in range(3)]
-    post = fuse_posteriors(stats, FusionWeights(logits))
+    post = fuse_posteriors(stats, logits)
     w = np.exp(logits - logits.max())
     w /= w.sum()
     mu = sum(w[v] * stats[v][0] for v in range(3))
@@ -116,8 +117,8 @@ def test_fuse_permuting_views_with_weights_is_invariant():
     logits = rng.standard_normal(3)
     stats = [(rng.standard_normal((2, 3)), rng.uniform(0.1, 2.0, (2, 3))) for _ in range(3)]
     perm = [2, 0, 1]
-    post = fuse_posteriors(stats, FusionWeights(logits))
-    post_p = fuse_posteriors([stats[i] for i in perm], FusionWeights(logits[perm]))
+    post = fuse_posteriors(stats, logits)
+    post_p = fuse_posteriors([stats[i] for i in perm], logits[perm])
     assert post_p.mean == pytest.approx(post.mean, abs=1e-12)
     assert post_p.var == pytest.approx(post.var, abs=1e-12)
 
@@ -128,8 +129,8 @@ def test_fuse_equals_numpy_convex_combination_exactly(n_views):
     rng = np.random.default_rng(40 + n_views)
     logits = 3.0 * rng.standard_normal(n_views)
     stats = [(rng.standard_normal((7, 4)), rng.uniform(0.1, 2.0, (7, 4))) for _ in range(n_views)]
-    post = fuse_posteriors(stats, FusionWeights(logits))
-    w = FusionWeights(logits).weights
+    post = fuse_posteriors(stats, logits)
+    w = softmax(logits)
     mu, var = w[0] * stats[0][0], w[0] * stats[0][1]
     for v in range(1, n_views):
         mu = mu + w[v] * stats[v][0]
@@ -141,15 +142,27 @@ def test_fuse_equals_numpy_convex_combination_exactly(n_views):
 def test_fuse_missing_view_and_bad_variance():
     stats = [(np.zeros((1, 2)), np.ones((1, 2)))]
     with pytest.raises(ValueError, match="views"):
-        fuse_posteriors(stats, FusionWeights(np.zeros(2)))
+        fuse_posteriors(stats, np.zeros(2))
     with pytest.raises(ValueError, match="positive"):
-        fuse_posteriors([(np.zeros((1, 2)), np.zeros((1, 2)))], FusionWeights(np.zeros(1)))
+        fuse_posteriors([(np.zeros((1, 2)), np.zeros((1, 2)))], np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((2, 3), (1, 3), (2, 3), (2, 3)), ((2, 3), (2, 3), (2, 3), (2, 1)), ((2, 3), (2, 3), (1, 3), (1, 3))],
+    ids=["broadcastable-variance", "second-view-variance", "second-view-pair"],
+)
+def test_fuse_rejects_a_mean_and_variance_of_other_shapes(shapes):
+    # shapes of mean 0, variance 0, mean 1, variance 1; numpy would broadcast each
+    mu0, var0, mu1, var1 = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=r"view \d mean and variance must both have view 0's mean shape \(2, 3\)"):
+        fuse_posteriors([(mu0, var0), (mu1, var1)], np.zeros(2))
 
 
 def test_fusion_weights_always_on_simplex():
     rng = np.random.default_rng(10)
     for scale in (0.1, 10.0, 300.0):
-        w = FusionWeights(scale * rng.standard_normal(5)).weights
+        w = softmax(scale * rng.standard_normal(5))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -314,13 +327,20 @@ def test_assign_matches_composed_oracles():
     for v in range(config.n_views):
         mu, logvar = encode_view(model, v, views[v])
         stats.append((mu, np.exp(logvar)))
-    post = fuse_posteriors(stats, model.fusion_weights())
+    post = fuse_posteriors(stats, model.params["fusion_logits"])
     prior = model.prior()
     expected = [
         int(np.argmax(gamma_direct(z, prior.weights, prior.means, prior.variances)))
         for z in post.mean
     ]
     assert np.array_equal(labels, expected)
+
+
+def test_model_inputs_rejects_other_view_dims():
+    model = zero_model(tiny_config("gaussian"))
+    dataset = MultiViewDataset("other", ["a", "b"], [np.zeros((3, 4)), np.zeros((3, 6))])
+    with pytest.raises(ValueError, match=r"dataset view dims \(4, 6\) do not match model view dims \(4, 5\)"):
+        model_inputs(model, dataset)
 
 
 def test_assign_is_deterministic():

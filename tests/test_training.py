@@ -14,6 +14,7 @@ from mvclust import (
     NumericError,
     ParamStore,
     TrainConfig,
+    evaluate,
     init_gmm,
     kmeans,
     normalize,
@@ -265,7 +266,7 @@ def test_init_gmm_uniform_mixture_and_fusion():
     model = Model.initialize(mcfg, seed=2)
     init_gmm(model, dataset, seed=2)
     assert model.prior().weights == pytest.approx(np.full(3, 1 / 3))
-    assert model.fusion_weights().weights == pytest.approx(np.full(2, 0.5))
+    assert softmax(model.params["fusion_logits"]) == pytest.approx(np.full(2, 0.5))
 
 
 def test_init_gmm_recovers_separated_embedding_centroids():
@@ -286,6 +287,19 @@ def test_init_gmm_recovers_separated_embedding_centroids():
         truth = emb[dataset.labels == c].mean(axis=0)
         best = min(np.linalg.norm(prior.means[k] - truth) for k in range(3))
         assert best < 0.1
+
+
+def test_evaluate_puts_a_raw_dataset_through_the_model_record():
+    raw = small_dataset()
+    normalized = normalize(raw, "gaussian")
+    model = Model.initialize(ModelConfig(raw.dims, 2, 3, "gaussian", (8, 6), (6, 8)), seed=2)
+    model.normalization = normalized.normalization
+    init_gmm(model, normalized, seed=2)
+    scores = evaluate(model, normalized)
+    assert evaluate(model, raw) == scores
+    # the record matters: the raw matrices as they are give other labels
+    model.normalization = None
+    assert evaluate(model, raw) != scores
 
 
 # -- train ------------------------------------------------------------------------
