@@ -2,7 +2,7 @@
 """Run every mvclust command once on a tiny Gaussian and a tiny Bernoulli set.
 
 Each set gets its own directory under OUT with the synth spec, the dataset,
-a trained run (model, checkpoints, history, metrics and embeddings) and the
+a trained run (model, checkpoints, history and metrics) and the
 outputs of assign, embed, generate and eval. Every command's standard output
 goes to ``log.txt`` next to them. All paths inside OUT are relative, so two
 tours of the same code give byte-identical trees wherever they run:
@@ -35,7 +35,7 @@ def tour(likelihood: str) -> None:
     model, manifest = ["--model", "run/model"], ["--manifest", "data/manifest.json"]
     commands = [
         ["synth", "--spec", "synth.json", "--out", "data"],
-        ["train", *manifest, "--config", "config.json", "--out", "run", "--embeddings"],
+        ["train", *manifest, "--config", "config.json", "--out", "run"],
         ["assign", *model, *manifest, "--out", "labels.txt"],
         ["embed", *model, *manifest, "--out", "embeddings.csv"],
         ["generate", *model, "--cluster", "1", "--count", "5", "--seed", "2", "--out", "generated"],

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .data import LoadError, json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
+from .data import json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
 from .data import save_labels, save_matrix, synth_generate
 from .model import Model, assign_clusters, fused_posterior, generate, model_inputs
-from .numgrad import GraphError, NumericError
+from .numgrad import NumericError
 from .numgrad.params import write_atomic
 from .seeding import rng_for
 from .training import TrainConfig, evaluate, train
@@ -53,8 +53,6 @@ def cmd_train(args) -> int:
         report = _metrics_report(scores)
         write_atomic(out / "metrics.txt", [report.encode()])
         print(report, end="")
-    if args.embeddings:
-        save_matrix(out / "embeddings.csv", fused_posterior(result.model, model_inputs(result.model, dataset)).mean)
     print(f"artifacts: {out}")
     return 0
 
@@ -115,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--embeddings", action="store_true", help="also export fused posterior means")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("assign", help="write one cluster label per sample")
@@ -155,7 +152,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, LoadError, ValueError, GraphError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(str(exc), 2)
     except NumericError as exc:
         return _fail(str(exc), 1)

@@ -267,12 +267,17 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     where = f"manifest {manifest_path}"
     name = json_field(manifest, "name", "str", where)
     n = json_field(manifest, "n", "int", where)
+    if n < 1:
+        raise LoadError(f"{where}: n must be >= 1, got {n}")
     likelihood = json_field(manifest, "likelihood", "str | None", where)
     if likelihood is not None and likelihood not in LIKELIHOODS:
         raise LoadError(f"{where}: unknown likelihood {likelihood!r}")
     base = manifest_path.parent
+    views = json_field(manifest, "views", "tuple[dict, ...]", where)
+    if not views:
+        raise LoadError(f"{where}: views must list at least one view")
     view_names, matrices = [], []
-    for i, view in enumerate(json_field(manifest, "views", "tuple[dict, ...]", where)):
+    for i, view in enumerate(views):
         at = f"{where} view {i}"
         view_names.append(json_field(view, "name", "str", at))
         path = base / json_field(view, "path", "str", at)

@@ -528,25 +528,19 @@ def assign_clusters(model: Model, views) -> np.ndarray:
     return np.argmax(gamma, axis=1)
 
 
-def _normalize_noise(noise, n, latent_dim, n_samples):
-    arr = as_tensor(noise)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.shape != (n_samples, n, latent_dim):
-        raise ValueError(f"noise must have shape ({n_samples}, {n}, {latent_dim}), got {arr.shape}")
-    return arr
-
-
 def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
-    """Forward the objective graph; returns per-sample term arrays and the
-    scalar batch-mean ELBO under keys recon/gauss_kl/cat_kl/entropy/
-    elbo_samples/elbo. Bernoulli models require data in [0, 1]."""
+    """Forward the objective graph on ``noise`` of shape (n_samples, n, J);
+    returns per-sample term arrays and the scalar batch-mean ELBO under keys
+    recon/gauss_kl/cat_kl/entropy/elbo_samples/elbo. Bernoulli models
+    require data in [0, 1]."""
     mats = _check_views(model, views)
     if model.config.likelihood == "bernoulli":
         for v, arr in enumerate(mats):
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
                 raise ValueError(f"view {v} data must lie in [0, 1] for the Bernoulli objective")
-    eps = _normalize_noise(noise, mats[0].shape[0], model.config.latent_dim, n_samples)
+    eps, shape = as_tensor(noise), (n_samples, mats[0].shape[0], model.config.latent_dim)
+    if eps.shape != shape:
+        raise ValueError(f"noise must have shape {shape}, got {eps.shape}")
     inputs = {f"x{v}": mat for v, mat in enumerate(mats)}
     inputs.update({f"eps{l}": eps[l] for l in range(n_samples)})
     values = forward(model.elbo_graph(n_samples), inputs, model.params)

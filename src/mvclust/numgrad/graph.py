@@ -158,16 +158,12 @@ class Graph:
     def sum(self, x, axis=None, keepdims=False, name=None):
         return self._emit("sum", (x,), name, axis=axis, keepdims=keepdims)
 
-    def mean(self, x, axis=None, keepdims=False, name=None):
-        return self._emit("mean", (x,), name, axis=axis, keepdims=keepdims)
+    def mean(self, x, name=None):
+        """The mean of every element of ``x``, a scalar."""
+        return self._emit("mean", (x,), name)
 
     def logsumexp(self, x, axis=None, keepdims=False, name=None):
         return self._emit("logsumexp", (x,), name, axis=axis, keepdims=keepdims)
-
-    def concat(self, parts, axis=0, name=None):
-        if len(parts) < 1:
-            raise GraphError("concat needs at least one input")
-        return self._emit("concat", tuple(parts), name, axis=int(axis))
 
     def slice(self, x, axis, start, stop, name=None):
         return self._emit("slice", (x,), name, axis=int(axis), start=int(start), stop=int(stop))
@@ -311,10 +307,6 @@ def _eval_sum(node, args):
     return np.sum(args[0], axis=node.attrs["axis"], keepdims=node.attrs["keepdims"])
 
 
-def _eval_mean(node, args):
-    return np.mean(args[0], axis=node.attrs["axis"], keepdims=node.attrs["keepdims"])
-
-
 def _eval_logsumexp(node, args):
     (x,) = args
     axis, keepdims = node.attrs["axis"], node.attrs["keepdims"]
@@ -323,10 +315,6 @@ def _eval_logsumexp(node, args):
     if not keepdims:
         out = out.reshape(np.sum(x, axis=axis, keepdims=False).shape)
     return out
-
-
-def _eval_concat(node, args):
-    return np.concatenate(args, axis=node.attrs["axis"])
 
 
 def _slicer(node):
@@ -361,9 +349,8 @@ _EVAL = {
     "square": lambda n, a: a[0] * a[0],
     "clip": lambda n, a: np.clip(a[0], n.attrs["lo"], n.attrs["hi"]),
     "sum": _eval_sum,
-    "mean": _eval_mean,
+    "mean": lambda n, a: np.mean(a[0]),
     "logsumexp": _eval_logsumexp,
-    "concat": _eval_concat,
     "slice": _eval_slice,
     "expand_dims": lambda n, a: np.expand_dims(a[0], n.attrs["axis"]),
 }
@@ -414,13 +401,6 @@ def _grad_sum(node, args, out, g):
     return [(node.inputs[0], _expand_reduced(g, args[0].shape, node.attrs["axis"], node.attrs["keepdims"]))]
 
 
-def _grad_mean(node, args, out, g):
-    x = args[0]
-    count = x.size if node.attrs["axis"] is None else x.shape[node.attrs["axis"]]
-    ge = _expand_reduced(g, x.shape, node.attrs["axis"], node.attrs["keepdims"])
-    return [(node.inputs[0], ge / count)]
-
-
 def _grad_logsumexp(node, args, out, g):
     x = args[0]
     axis, keepdims = node.attrs["axis"], node.attrs["keepdims"]
@@ -429,18 +409,6 @@ def _grad_logsumexp(node, args, out, g):
     )
     g_k = _expand_reduced(g, x.shape, axis, keepdims)
     return [(node.inputs[0], g_k * np.exp(x - out_k))]
-
-
-def _grad_concat(node, args, out, g):
-    axis = node.attrs["axis"]
-    grads = []
-    offset = 0
-    for name, a in zip(node.inputs, args):
-        sl = [slice(None)] * (axis + 1)
-        sl[axis] = slice(offset, offset + a.shape[axis])
-        grads.append((name, g[tuple(sl)]))
-        offset += a.shape[axis]
-    return grads
 
 
 def _grad_slice(node, args, out, g):
@@ -466,9 +434,8 @@ _GRAD = {
     "square": lambda n, a, o, g: [(n.inputs[0], 2.0 * g * a[0])],
     "clip": _grad_clip,
     "sum": _grad_sum,
-    "mean": _grad_mean,
+    "mean": lambda n, a, o, g: [(n.inputs[0], np.broadcast_to(g, a[0].shape) / a[0].size)],
     "logsumexp": _grad_logsumexp,
-    "concat": _grad_concat,
     "slice": _grad_slice,
     "expand_dims": lambda n, a, o, g: [(n.inputs[0], np.squeeze(g, axis=n.attrs["axis"]))],
 }

@@ -29,8 +29,11 @@ def write_atomic(path, chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # the temp file is ours, not the caller's: name the file they asked for
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -175,10 +178,13 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """Read a checkpoint into a float64 store; a truncated payload or
-        trailing bytes raise a ``ValueError`` that names the file and the
-        parameter."""
-        buf = Path(path).read_bytes()
+        """Read a checkpoint into a float64 store; an unreadable file, a
+        truncated payload or trailing bytes raise a ``ValueError`` that names
+        the file (and the parameter)."""
+        try:
+            buf = Path(path).read_bytes()
+        except OSError as exc:
+            raise ValueError(f"cannot read parameter checkpoint {path}: {exc}") from exc
         if buf[:4] != _MAGIC:
             raise ValueError(f"not a parameter checkpoint: {path}")
         offset = 4 + struct.calcsize("<IIQI")

@@ -40,6 +40,10 @@ HISTORY_FILE = "history.csv"
 _HISTORY_COLUMNS = ("epoch", "learning_rate", "elbo", *metrics_mod.SCORE_NAMES)
 _VAR_FLOOR = 1e-4
 TRAIN_DTYPE = np.float32
+LR_DECAY = 0.9  # the learning rate is multiplied by LR_DECAY every DECAY_EVERY epochs
+DECAY_EVERY = 10
+KMEANS_RESTARTS = 20
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -50,8 +54,6 @@ class TrainConfig:
     latent_dim: int = 10
     likelihood: str | None = None  # falls back to the manifest's kind
     learning_rate: float = 1e-4
-    lr_decay: float = 0.9
-    decay_every: int = 10
     epochs: int = 100
     batch_size: int = 256
     pretrain_epochs: int = 10
@@ -67,9 +69,7 @@ class TrainConfig:
         check_architecture(self, null_likelihood=True)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
-        lowest = {"decay_every": 1, "batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
+        lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
                   "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
         for name, low in lowest.items():
             if getattr(self, name) < low:
@@ -81,7 +81,7 @@ class TrainConfig:
         return cls(**json_args(load_json(path, "config file"), cls, f"config file {path}"))
 
     def learning_rate_at(self, epoch: int) -> float:
-        return self.learning_rate * self.lr_decay ** (epoch // self.decay_every)
+        return self.learning_rate * LR_DECAY ** (epoch // DECAY_EVERY)
 
 
 # -- k-means --------------------------------------------------------------
@@ -150,8 +150,8 @@ def _lloyd(points, centroids, max_iter):
     return KMeansResult(centroids, labels, inertia), trace
 
 
-def kmeans(points, n_clusters: int, seed: int, n_restarts: int = 20, max_iter: int = 300) -> KMeansResult:
-    """Lloyd's algorithm from k-means++ seeding; the best of ``n_restarts``
+def kmeans(points, n_clusters: int, seed: int) -> KMeansResult:
+    """Lloyd's algorithm from k-means++ seeding; the best of ``KMEANS_RESTARTS``
     runs by within-cluster sum of squares wins."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -159,10 +159,10 @@ def kmeans(points, n_clusters: int, seed: int, n_restarts: int = 20, max_iter: i
     if points.shape[0] < n_clusters:
         raise ValueError(f"need at least {n_clusters} points, got {points.shape[0]}")
     best = None
-    for restart in range(n_restarts):
+    for restart in range(KMEANS_RESTARTS):
         rng = rng_for(seed, "kmeans", restart)
         init = _kmeanspp(points, n_clusters, rng)
-        result, _ = _lloyd(points, init, max_iter)
+        result, _ = _lloyd(points, init, KMEANS_MAX_ITER)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

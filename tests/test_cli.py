@@ -57,7 +57,6 @@ def workspace(tmp_path_factory):
         "--manifest", str(data_dir / "manifest.json"),
         "--config", str(config_path),
         "--out", str(out_dir),
-        "--embeddings",
     ])
     assert code == 0
     return {
@@ -129,6 +128,16 @@ def test_malformed_config_json_exits_2_naming_the_file(workspace, tmp_path, caps
     assert not (tmp_path / "o" / "model").exists()
 
 
+def test_train_has_no_embeddings_flag(workspace, tmp_path, capsys):
+    # `mvclust embed --model OUT/model` exports the embeddings of a trained run
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--manifest", str(workspace["manifest"]), "--config", str(workspace["config"]),
+              "--out", str(tmp_path / "o"), "--embeddings"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --embeddings" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_artifacts(workspace, capsys):
     out = workspace["out"]
     assert (out / "model" / "descriptor.json").exists()
@@ -136,7 +145,6 @@ def test_train_artifacts(workspace, capsys):
     assert (out / "config.json").exists()
     assert (out / "history.csv").exists()
     assert (out / "metrics.txt").exists()
-    assert (out / "embeddings.csv").exists()
     echo = json.loads((out / "config.json").read_text())
     assert echo["config"]["seed"] == 1
     report = (out / "metrics.txt").read_text()
@@ -230,6 +238,36 @@ def test_train_metrics_report_matches_assign_then_eval(workspace, tmp_path, caps
     assert from_train == from_eval
 
 
+def _scores(text):
+    return dict(line.split(": ") for line in text.strip().splitlines())
+
+
+def test_train_scores_the_final_model_when_it_evaluated_no_epoch(workspace, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**json.loads(workspace["config"].read_text()), "eval_every": 0}))
+    run, pred = tmp_path / "run", tmp_path / "pred.txt"
+    manifest = ["--manifest", str(workspace["manifest"])]
+    assert main(["train", *manifest, "--config", str(config_path), "--out", str(run)]) == 0
+    assert main(["assign", "--model", str(run / "model"), *manifest, "--out", str(pred)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(pred), "--truth", str(workspace["manifest"].parent / "labels.txt")]) == 0
+    assert _scores((run / "metrics.txt").read_text()) == _scores(capsys.readouterr().out)
+
+
+def test_train_on_an_unlabeled_manifest_writes_no_metrics(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["labels"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(data / "manifest.json"), "--config", str(workspace["config"]),
+                 "--out", str(run)]) == 0
+    assert (run / "model" / "params.bin").exists()
+    assert not (run / "metrics.txt").exists()
+    assert "acc:" not in capsys.readouterr().out
+
+
 def test_assign_is_stable(workspace, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
@@ -267,12 +305,17 @@ _FILE_INPUTS = [("assign", "--manifest"), ("train", "--config"), ("synth", "--sp
 @pytest.mark.parametrize(
     "command, flag, kind",
     [*((command, flag, kind) for command, flag in _FILE_INPUTS for kind in ("missing", "directory")),
-     ("assign", "--model", "missing")],
+     ("assign", "--model", "missing"), ("assign", "--model", "params-directory")],
 )
 def test_an_unreadable_input_path_exits_2_naming_it(workspace, tmp_path, capsys, command, flag, kind):
-    path = tmp_path / "input"
+    path = named = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
+    elif kind == "params-directory":
+        shutil.copytree(workspace["model"], path)
+        named = path / "params.bin"
+        named.unlink()
+        named.mkdir()
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\n")
     paths = {"--model": workspace["model"], "--manifest": workspace["manifest"], "--config": workspace["config"],
@@ -281,8 +324,18 @@ def test_an_unreadable_input_path_exits_2_naming_it(workspace, tmp_path, capsys,
     out = tmp_path / "out"
     assert main(argv if command == "eval" else [*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert err.startswith("error: ") and str(named) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("assign", "l.txt"), ("embed", "z.csv")])
+def test_a_write_into_a_missing_directory_exits_2_naming_the_file(workspace, tmp_path, capsys, command, name):
+    out = tmp_path / "nodir" / name
+    argv = [command, "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_identical_files(tmp_path, capsys):
@@ -434,7 +487,17 @@ _DESCRIPTOR_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", [*_DESCRIPTOR_DAMAGE, "manifest-views-not-a-list", "manifest-n-not-a-number"])
+# how each damaged manifest differs from one of three rows and a one-column
+# view, and the field its error names
+_MANIFEST_DAMAGE = {
+    "manifest-views-not-a-list": ({"views": 5}, "views"),
+    "manifest-n-not-a-number": ({"n": None}, "n"),
+    "manifest-no-rows": ({"n": 0}, "n"),
+    "manifest-no-views": ({"views": []}, "views"),
+}
+
+
+@pytest.mark.parametrize("damage", [*_DESCRIPTOR_DAMAGE, *_MANIFEST_DAMAGE])
 def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path, capsys, damage):
     model_dir, manifest = tmp_path / "model", workspace["manifest"]
     shutil.copytree(workspace["model"], model_dir)
@@ -442,12 +505,16 @@ def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path
         named = _damage_descriptor(model_dir, _DESCRIPTOR_DAMAGE[damage])
     else:
         manifest = named = tmp_path / "manifest.json"
-        bad = {"views": 5} if damage == "manifest-views-not-a-list" else {"n": None}
-        manifest.write_text(json.dumps({"name": "x", "n": 3, "views": [], **bad}))
+        bad, field = _MANIFEST_DAMAGE[damage]
+        (tmp_path / "v.csv").write_text("")  # every damage is found before the view is read
+        manifest.write_text(json.dumps({"name": "x", "n": 3, "views": [{"name": "v", "path": "v.csv", "dim": 1}],
+                                        **bad}))
     code = main(["assign", "--model", str(model_dir), "--manifest", str(manifest), "--out", str(tmp_path / "l.txt")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(named) in err
+    if damage in _MANIFEST_DAMAGE:
+        assert f": {field} must" in err
     assert not (tmp_path / "l.txt").exists()
 
 
@@ -458,6 +525,8 @@ _BAD_FIELDS = {
     "config-missing-field": ("config", lambda d: d.pop("n_clusters"), "n_clusters"),
     "config-float-count": ("config", lambda d: d.update(epochs=4.0), "epochs"),
     "config-infinite-rate": ("config", lambda d: d.update(learning_rate=float("inf")), "learning_rate"),
+    "config-lr-decay": ("config", lambda d: d.update(lr_decay=0.9), "lr_decay"),
+    "config-decay-every": ("config", lambda d: d.update(decay_every=10), "decay_every"),
     "synth-unknown-field": ("synth", lambda d: d.update(depth=3), "depth"),
     "synth-unsettable-parameter": ("synth", lambda d: d.update(return_latent=True), "return_latent"),
     "synth-missing-field": ("synth", lambda d: d.pop("seed"), "seed"),
@@ -528,7 +597,7 @@ def _artifact_commands(workspace, tmp_path):
     """(argv, artifact) for every file a command writes besides the model archive."""
     model = ["--model", str(workspace["model"])]
     manifest = ["--manifest", str(workspace["manifest"])]
-    train = ["train", *manifest, "--config", str(workspace["config"]), "--out", str(tmp_path / "run"), "--embeddings"]
+    train = ["train", *manifest, "--config", str(workspace["config"]), "--out", str(tmp_path / "run")]
     synth = ["synth", "--spec", str(workspace["root"] / "synth.json"), "--out", str(tmp_path / "data")]
     generate = ["generate", *model, "--cluster", "0", "--count", "3", "--out", str(tmp_path / "g")]
     return {
@@ -538,7 +607,6 @@ def _artifact_commands(workspace, tmp_path):
         "dataset view": (synth, tmp_path / "data" / "view0.csv"),
         "dataset labels": (synth, tmp_path / "data" / "labels.txt"),
         "manifest": (synth, tmp_path / "data" / "manifest.json"),
-        "embeddings.csv": (train, tmp_path / "run" / "embeddings.csv"),
         "metrics.txt": (train, tmp_path / "run" / "metrics.txt"),
         "history.csv": (train, tmp_path / "run" / "history.csv"),
         "config echo": (train, tmp_path / "run" / "config.json"),
@@ -548,7 +616,7 @@ def _artifact_commands(workspace, tmp_path):
 @pytest.mark.parametrize(
     "artifact",
     ["assign labels", "embed", "generate view", "dataset view", "dataset labels", "manifest",
-     "embeddings.csv", "metrics.txt", "history.csv", "config echo"],
+     "metrics.txt", "history.csv", "config echo"],
 )
 def test_failed_artifact_write_leaves_the_previous_file(workspace, tmp_path, monkeypatch, artifact):
     argv, target = _artifact_commands(workspace, tmp_path)[artifact]

@@ -255,6 +255,23 @@ def test_decode_gaussian_logvar_clamped():
 # -- responsibilities ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "weights, means, variances, message",
+    [
+        ([0.5, 0.5], np.zeros((2, 2)), np.ones((2, 3)), "means and variances must both be"),
+        ([0.5, 0.5], np.zeros(2), np.ones(2), "means and variances must both be"),
+        ([1.0], np.zeros((2, 2)), np.ones((2, 2)), "weights length must match"),
+        ([0.5, 0.6], np.zeros((2, 2)), np.ones((2, 2)), "positive and sum to 1"),
+        ([1.0, 0.0], np.zeros((2, 2)), np.ones((2, 2)), "positive and sum to 1"),
+        ([0.5, 0.5], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 0.0]], "variances must be positive"),
+    ],
+    ids=["shapes-differ", "means-not-2d", "weights-length", "weights-sum", "weight-zero", "variance-zero"],
+)
+def test_gmm_prior_rejects_an_invalid_mixture(weights, means, variances, message):
+    with pytest.raises(ValueError, match=message):
+        GmmPrior(np.array(weights), means, variances)
+
+
 def test_responsibilities_single_component():
     prior = GmmPrior(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
     assert np.array_equal(responsibilities(np.zeros(2), prior), [1.0])

@@ -23,7 +23,7 @@ from mvclust import (
     train,
 )
 from mvclust.model import softmax
-from mvclust.training import TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
+from mvclust.training import DECAY_EVERY, LR_DECAY, TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
 
 from helpers import tiny_config
 
@@ -58,8 +58,7 @@ def test_config_defaults_match_protocol():
     config = TrainConfig(n_clusters=10)
     assert config.latent_dim == 10
     assert config.learning_rate == pytest.approx(1e-4)
-    assert config.lr_decay == pytest.approx(0.9)
-    assert config.decay_every == 10
+    assert (LR_DECAY, DECAY_EVERY) == (0.9, 10)
     assert config.epochs == 100
     assert config.batch_size == 256
     assert config.pretrain_epochs == 10
@@ -73,8 +72,6 @@ def test_config_validation():
     for kwargs in (
         {"n_clusters": 0},
         {"n_clusters": 2, "learning_rate": 0.0},
-        {"n_clusters": 2, "lr_decay": 0.0},
-        {"n_clusters": 2, "lr_decay": 1.5},
         {"n_clusters": 2, "batch_size": 0},
         {"n_clusters": 2, "epochs": -1},
         {"n_clusters": 2, "seed": -3},
@@ -110,14 +107,14 @@ def test_learning_rate_schedule():
 def test_kmeans_single_cluster_returns_mean():
     rng = np.random.default_rng(0)
     points = rng.standard_normal((40, 3))
-    result = kmeans(points, 1, seed=0, n_restarts=3)
+    result = kmeans(points, 1, seed=0)
     assert result.centroids[0] == pytest.approx(points.mean(axis=0), abs=1e-12)
     assert np.all(result.labels == 0)
 
 
 def test_kmeans_two_point_masses():
     points = np.array([[0.0], [0.0], [0.0], [10.0], [10.0]])
-    result = kmeans(points, 2, seed=1, n_restarts=5)
+    result = kmeans(points, 2, seed=1)
     assert sorted(result.centroids.reshape(-1)) == pytest.approx([0.0, 10.0])
     assert result.inertia == pytest.approx(0.0)
 
@@ -327,6 +324,20 @@ def test_train_seed_determinism():
     assert a.elbo_history == b.elbo_history
     for name in a.model.params.names():
         assert np.array_equal(a.model.params[name], b.model.params[name])
+
+
+def test_train_on_a_normalized_dataset_equals_train_on_the_raw_one():
+    dataset = small_dataset()
+    raw = train(dataset, small_config())
+    normalized = train(normalize(dataset, "gaussian"), small_config())
+    assert normalized.elbo_history == raw.elbo_history
+    for name in raw.model.params.names():
+        assert np.array_equal(normalized.model.params[name], raw.model.params[name])
+
+
+def test_train_rejects_a_dataset_normalized_for_the_other_likelihood():
+    with pytest.raises(ValueError, match="normalized as 'bernoulli', config wants 'gaussian'"):
+        train(normalize(small_dataset(), "bernoulli"), small_config())
 
 
 def test_train_different_seeds_differ():
