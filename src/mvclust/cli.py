@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, ValueError) as exc:
         return _fail(str(exc), 2)
     except NumericError as exc:
         return _fail(str(exc), 1)

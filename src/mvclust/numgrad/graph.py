@@ -207,7 +207,7 @@ def forward(graph: Graph, inputs, params=None, dtype=np.float64) -> dict:
                 out = _EVAL[node.op](node, args)
             except (ValueError, IndexError) as exc:
                 raise GraphError(f"node {node.name!r} ({node.op}): {exc}") from exc
-            if not np.all(np.isfinite(out)):
+            if not np.isfinite(out).all():
                 raise NumericError(f"non-finite values produced by node {node.name!r} ({node.op})")
             values[node.name] = out
     return values
@@ -298,9 +298,27 @@ def _eval_linear(node, args):
 
 def _sigmoid(x):
     """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below,
-    so no ``exp`` overflows; one branch-free expression."""
+    so no ``exp`` overflows. With ``e = exp(-|x|)`` both are ``max(e, x >= 0)
+    / (1 + e)``: where x >= 0 the mask is 1 and e <= 1, elsewhere the mask is
+    0 and e >= 0. So the numerator needs no select."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.maximum(e, x >= 0, dtype=x.dtype)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _softplus(x):
+    """``log(1 + exp(x))`` as ``max(x, 0) + log1p(exp(-|x|))``, computed in
+    place on the output buffer; no ``exp`` overflows. Within a few ulps of
+    ``np.logaddexp(0, x)``. The gradient, ``sigmoid(x)``, is computed from
+    ``x``, not from this value, so its rounding moves no gradient."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _eval_sum(node, args):
@@ -342,7 +360,7 @@ _EVAL = {
     "affine": lambda n, a: n.attrs["scale"] * a[0] + n.attrs["shift"],
     "relu": lambda n, a: np.maximum(a[0], 0.0),
     "sigmoid": lambda n, a: _sigmoid(a[0]),
-    "softplus": lambda n, a: np.logaddexp(0.0, a[0]),
+    "softplus": lambda n, a: _softplus(a[0]),
     "exp": lambda n, a: np.exp(a[0]),
     "log": lambda n, a: np.log(a[0]),
     "sqrt": lambda n, a: np.sqrt(a[0]),

@@ -94,13 +94,13 @@ class KMeansResult:
     inertia: float
 
 
-def _pairwise_sq(points, centroids):
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _pairwise_sq(sq_norms, twice_points, centroids):
+    """Squared distances ``|p|^2 - 2 p.c + |c|^2`` floored at 0, from the
+    points' squared norms (a column) and the points doubled."""
+    d2 = twice_points @ centroids.T
+    np.subtract(sq_norms, d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp(points, k, rng):
@@ -121,31 +121,41 @@ def _kmeanspp(points, k, rng):
 
 def _lloyd(points, centroids, max_iter):
     """Lloyd iterations; returns result plus the per-iteration objective
-    trace (which never increases)."""
-    k = centroids.shape[0]
+    trace (which never increases).
+
+    Each centroid is its members' per-feature ``bincount`` sums over their
+    count: the sums add the same rows in the same order as a boolean-mask
+    ``mean(axis=0)``, so the result is bitwise that mean."""
+    n, k = points.shape[0], centroids.shape[0]
+    rows = np.arange(n)
+    sq_norms = (points * points).sum(axis=1)[:, None]
+    twice_points = 2.0 * points
+    columns = np.ascontiguousarray(points.T)
+    sums = np.empty_like(centroids)
     labels = None
     trace = []
     for _ in range(max_iter):
-        d2 = _pairwise_sq(points, centroids)
+        d2 = _pairwise_sq(sq_norms, twice_points, centroids)
         new_labels = d2.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
         # reseed empties to the point farthest from its assigned centroid
         for c in range(k):
-            if not np.any(new_labels == c):
-                dist = d2[np.arange(points.shape[0]), new_labels]
-                far = int(dist.argmax())
+            if counts[c] == 0:
+                far = int(d2[rows, new_labels].argmax())
                 centroids[c] = points[far]
-                d2 = _pairwise_sq(points, centroids)
+                d2 = _pairwise_sq(sq_norms, twice_points, centroids)
                 new_labels = d2.argmin(axis=1)
-        trace.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
+                counts = np.bincount(new_labels, minlength=k)
+        trace.append(float(d2[rows, new_labels].sum()))
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = points[labels == c]
-            # a cluster can stay empty on fully degenerate data even after
-            # reseeding; its centroid then keeps the reseeded position
-            if members.shape[0]:
-                centroids[c] = members.mean(axis=0)
+        for j, column in enumerate(columns):
+            sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+        # a cluster can stay empty on fully degenerate data even after
+        # reseeding; its centroid then keeps the reseeded position
+        members = counts > 0
+        centroids[members] = sums[members] / counts[members, None]
     inertia = float(((points - centroids[labels]) ** 2).sum())
     return KMeansResult(centroids, labels, inertia), trace
 

@@ -338,6 +338,22 @@ def test_a_write_into_a_missing_directory_exits_2_naming_the_file(workspace, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "generate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_an_out_directory_that_is_a_file_exits_2_naming_it(workspace, tmp_path, capsys, command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "run" if under else afile
+    argv = {
+        "train": ["train", "--manifest", str(workspace["manifest"]), "--config", str(workspace["config"])],
+        "generate": ["generate", "--model", str(workspace["model"]), "--cluster", "0", "--count", "2"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+    assert afile.read_text() == "kept\n" and list(tmp_path.iterdir()) == [afile]
+
+
 def test_eval_identical_files(tmp_path, capsys):
     labels = tmp_path / "l.txt"
     labels.write_text("0\n0\n1\n1\n2\n")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mvclust import Graph, GraphError, NumericError, ParamStore, backward, forward
+from mvclust import Graph, GraphError, ModelConfig, NumericError, ParamStore, backward, forward
+from mvclust.numgrad import graph as graph_mod
 
-from helpers import rel_err
+from helpers import random_views, randomized_model, rel_err
 
 
 def _store(**arrays):
@@ -420,6 +421,56 @@ def test_softplus_value_and_gradient_finite_at_extremes(dtype):
     assert np.all(np.isfinite(values["loss"])) and np.all(np.isfinite(grad))
     assert values["loss"] == pytest.approx(1040.0 + np.log(2.0), rel=1e-6)
     assert grad == pytest.approx([0.0, np.exp(-40.0), 0.5, 1.0, 1.0], rel=1e-6, abs=0.0)
+
+
+def _ulps(a, b):
+    """Units in the last place between two arrays of non-negative floats."""
+    ints = np.int32 if a.dtype == np.float32 else np.int64
+    return np.abs(a.view(ints).astype(np.int64) - b.view(ints).astype(np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_is_within_4_ulps_of_logaddexp(dtype):
+    rng = np.random.default_rng(33)
+    x = np.concatenate([
+        np.linspace(-1e3, 1e3, 20001),
+        rng.standard_normal(20000) * 3,
+        rng.standard_normal(20000) * 30,
+        [0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, 88.0, -88.0, 1e3, -1e3],
+    ]).astype(dtype)
+    g = Graph()
+    g.softplus(g.input("x"), name="y")
+    got = forward(g, {"x": x}, dtype=dtype)["y"]
+    want = np.logaddexp(0.0, x.astype(np.float64)).astype(dtype)
+    assert got.dtype == dtype
+    assert _ulps(got, want).max() <= 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bernoulli_elbo_gradients_do_not_read_the_softplus_value(dtype, monkeypatch):
+    # softplus's gradient is g * sigmoid(h), and nothing downstream of it in
+    # the ELBO reads its value back, so how the value is computed cannot move
+    # any parameter gradient. Logits up to a few hundred make the two value
+    # forms differ in hundreds of the 5760 elements
+    config = ModelConfig(view_dims=(50, 40), latent_dim=2, n_clusters=3, likelihood="bernoulli",
+                         encoder_hidden=(6, 5), decoder_hidden=(5, 6))
+    model = randomized_model(config, seed=34, scale=1.0)
+    store, graph = model.params.clone(dtype), model.elbo_graph(1)
+    views = random_views(config, 64, seed=35)
+    inputs = {"x0": views[0], "x1": views[1], "eps0": np.random.default_rng(36).standard_normal((64, 2))}
+
+    def param_grads():
+        store.zero_grads()
+        values = forward(graph, inputs, store, dtype=dtype)
+        backward(graph, values, "loss", store)
+        return float(values["loss"]), {name: store.grad(name).copy() for name in store.names()}
+
+    loss, grads = param_grads()
+    monkeypatch.setitem(graph_mod._EVAL, "softplus", lambda n, a: np.logaddexp(0.0, a[0]))
+    want_loss, want_grads = param_grads()
+    assert loss == pytest.approx(want_loss, rel=1e-5)
+    for name in store.names():
+        assert np.array_equal(grads[name], want_grads[name]), name
 
 
 def test_forward_in_float32_views_the_store_and_computes_in_float32():

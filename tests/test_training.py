@@ -167,6 +167,72 @@ def test_lloyd_reseeds_empty_cluster():
     assert result.inertia == pytest.approx(0.01, abs=1e-12)
 
 
+def _masked_lloyd(points, centroids, max_iter):
+    """The boolean-mask Lloyd loop, as the reference: distances recomputed in
+    full every iteration, one mask per cluster for emptiness and for each mean."""
+
+    def pairwise_sq(points, centroids):
+        d2 = (
+            (points * points).sum(axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + (centroids * centroids).sum(axis=1)[None, :]
+        )
+        return np.maximum(d2, 0.0)
+
+    k = centroids.shape[0]
+    labels = None
+    trace = []
+    for _ in range(max_iter):
+        d2 = pairwise_sq(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                dist = d2[np.arange(points.shape[0]), new_labels]
+                centroids[c] = points[int(dist.argmax())]
+                d2 = pairwise_sq(points, centroids)
+                new_labels = d2.argmin(axis=1)
+        trace.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if members.shape[0]:
+                centroids[c] = members.mean(axis=0)
+    inertia = float(((points - centroids[labels]) ** 2).sum())
+    return centroids, labels, inertia, trace
+
+
+def _lloyd_cases():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        centers = rng.standard_normal((4, 5)) * 3
+        points = centers[rng.integers(4, size=300)] + rng.standard_normal((300, 5))
+        yield f"blobs-{seed}", points, points[rng.choice(300, size=4, replace=False)]
+    rng = np.random.default_rng(6)
+    points = rng.standard_normal((2000, 10))
+    yield "latent-shape", points, points[rng.choice(2000, size=10, replace=False)]
+    # 3 distinct rows, each repeated: more clusters than distinct points, so
+    # reseeding runs and some clusters stay empty
+    distinct = np.array([[0.0, 1.0], [4.0, -2.0], [-3.0, 0.5]])
+    points = distinct[rng.integers(3, size=40)]
+    yield "k-above-distinct", points, np.zeros((5, 2))
+    # duplicated rows among distinct ones, and duplicated initial centroids
+    points = np.concatenate([rng.standard_normal((30, 3)), np.repeat(rng.standard_normal((4, 3)), 10, axis=0)])
+    yield "duplicated-rows", rng.permutation(points), np.repeat(points[:2], 3, axis=0)
+
+
+@pytest.mark.parametrize("case", list(_lloyd_cases()), ids=lambda case: case[0])
+def test_lloyd_is_bitwise_the_masked_loop(case):
+    _, points, init = case
+    want_centroids, want_labels, want_inertia, want_trace = _masked_lloyd(points, init.copy(), 100)
+    result, trace = _lloyd(points, init.copy(), 100)
+    assert np.array_equal(result.centroids, want_centroids)
+    assert np.array_equal(result.labels, want_labels)
+    assert result.inertia == want_inertia
+    assert trace == want_trace
+
+
 # -- pretraining -----------------------------------------------------------------
 
 
