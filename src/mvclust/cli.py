@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .data import json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
+from .data import LoadError, json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
 from .data import save_labels, save_matrix, synth_generate
 from .model import Model, assign_clusters, fused_posterior, generate, model_inputs
 from .numgrad import NumericError
@@ -34,12 +34,8 @@ def _metrics_report(scores: dict) -> str:
 def cmd_train(args) -> int:
     manifest = Path(args.manifest)
     config = TrainConfig.from_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)  # re-validates
     dataset = load_dataset(manifest)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     result = train(dataset, config, out_dir=out)
 
     save_json(out / "config.json", {"manifest": str(manifest), "out": str(out), "config": dataclasses.asdict(config)})
@@ -96,7 +92,11 @@ def cmd_synth(args) -> int:
     spec, where = load_json(args.spec, "synth spec"), f"synth spec {args.spec}"
     name = json_field(spec, "name", "str | None", where)
     spec.pop("name", None)
-    dataset = synth_generate(**json_args(spec, synth_generate, where))
+    kwargs = json_args(spec, synth_generate, where)  # its own errors name the spec already
+    try:
+        dataset = synth_generate(**kwargs)
+    except ValueError as exc:
+        raise LoadError(f"{where}: {exc}") from exc
     if name:
         dataset.name = name
     manifest = save_dataset(dataset, args.out)
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("assign", help="write one cluster label per sample")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,7 +137,9 @@ def _find_bad_cell(path: Path):
 
 def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     try:
-        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the shape check reports it
+            mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         error = None if np.isfinite(mat).all() else "non-finite values"
     except OSError as exc:
         raise LoadError(f"view {view_name!r}: cannot read {path}: {exc}") from exc
@@ -149,9 +152,7 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
         row, col, cell = bad
         raise LoadError(f"view {view_name!r}: cell {cell!r} at {path} row {row} column {col} is not a finite number")
     if mat.shape != (n, dim):
-        raise LoadError(
-            f"view {view_name!r}: {path} has shape {mat.shape}, manifest declares ({n}, {dim})"
-        )
+        raise LoadError(f"view {view_name!r}: {path} has shape {mat.shape}, manifest declares ({n}, {dim})")
     return np.ascontiguousarray(mat)
 
 
@@ -276,17 +277,19 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     views = json_field(manifest, "views", "tuple[dict, ...]", where)
     if not views:
         raise LoadError(f"{where}: views must list at least one view")
-    view_names, matrices = [], []
+    entries = []  # (name, path, dim) of each view, all checked before any CSV is read
     for i, view in enumerate(views):
         at = f"{where} view {i}"
-        view_names.append(json_field(view, "name", "str", at))
-        path = base / json_field(view, "path", "str", at)
-        matrices.append(_load_matrix(path, n, json_field(view, "dim", "int", at), view_names[-1]))
+        view_name, path = json_field(view, "name", "str", at), json_field(view, "path", "str", at)
+        dim = json_field(view, "dim", "int", at)
+        if dim < 1:
+            raise LoadError(f"{at}: dim must be >= 1, got {dim}")
+        entries.append((view_name, base / path, dim))
     labels = json_field(manifest, "labels", "str | None", where)
     return MultiViewDataset(
         name=name,
-        view_names=view_names,
-        matrices=matrices,
+        view_names=[view_name for view_name, _, _ in entries],
+        matrices=[_load_matrix(path, n, dim, view_name) for view_name, path, dim in entries],
         labels=load_labels(base / labels, n) if labels else None,
         likelihood=likelihood,
     )
@@ -300,15 +303,12 @@ def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
     offsets, scales = [], []
     for mat in dataset.matrices:
         if kind == "bernoulli":
-            lo = mat.min(axis=0)
-            span = mat.max(axis=0) - lo
-            offsets.append(lo)
-            scales.append(np.where(span > 0, 1.0 / np.where(span > 0, span, 1.0), 0.0))
+            offset = mat.min(axis=0)
+            spread = mat.max(axis=0) - offset
         else:
-            mean = mat.mean(axis=0)
-            std = mat.std(axis=0)
-            offsets.append(mean)
-            scales.append(np.where(std > 0, 1.0 / np.where(std > 0, std, 1.0), 0.0))
+            offset, spread = mat.mean(axis=0), mat.std(axis=0)
+        offsets.append(offset)
+        scales.append(np.where(spread > 0, 1.0 / np.where(spread > 0, spread, 1.0), 0.0))
     record = NormalizationRecord(kind=kind, offsets=offsets, scales=scales)
     return MultiViewDataset(
         name=dataset.name,
@@ -347,12 +347,15 @@ def synth_generate(
     distance equals ``separation`` (all zero when separation is 0). With
     ``return_latent`` the latent draws and means come back too, for tests.
     """
-    if min(n_clusters, n_views, n, latent_dim) < 1:
-        raise ValueError("n_clusters, n_views, n and latent_dim must be positive")
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")
+    lowest = (("n_clusters", n_clusters, 1), ("n_views", n_views, 1), ("n", n, 1), ("latent_dim", latent_dim, 1),
+              ("view_dims", min(view_dims, default=1), 1), ("separation", separation, 0), ("noise", noise, 0))
+    for name, value, low in lowest:
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = rng_for(seed, "synth")
     labels = rng.integers(0, n_clusters, size=n)
     means = rng.normal(size=(n_clusters, latent_dim))

@@ -63,17 +63,17 @@ class ModelConfig:
         object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
         if not self.view_dims or any(d < 1 for d in self.view_dims):
             raise ValueError(f"view_dims must be positive, got {self.view_dims}")
-        check_architecture(self, null_likelihood=False)
+        check_architecture(self)
+        if self.likelihood not in LIKELIHOODS:
+            raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {self.likelihood!r}")
 
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
 
 
-def check_architecture(config, null_likelihood: bool) -> None:
-    """Check the fields every model config has, naming the offender, and cast
-    ``config``'s hidden widths to int tuples. ``null_likelihood`` also admits
-    a ``likelihood`` of None."""
+def check_architecture(config) -> None:
+    """Check the fields every model config has, naming the offender; cast the hidden widths to int tuples."""
     for name in ("encoder_hidden", "decoder_hidden"):
         object.__setattr__(config, name, tuple(int(w) for w in getattr(config, name)))
         if any(w < 1 for w in getattr(config, name)):
@@ -81,9 +81,6 @@ def check_architecture(config, null_likelihood: bool) -> None:
     for name in ("latent_dim", "n_clusters"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-    if config.likelihood not in LIKELIHOODS and not (null_likelihood and config.likelihood is None):
-        allowed = f"{'null or ' if null_likelihood else ''}one of {LIKELIHOODS}"
-        raise ValueError(f"likelihood must be {allowed}, got {config.likelihood!r}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from .graph import as_tensor
 _MAGIC = b"NGPS"
 _FORMAT_VERSION = 1
 _FLAG_MOMENTS = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba (arXiv:1412.6980)
 _BLOCK = 32768  # Adam's elements per block: 256 KB of float64 or 128 KB of float32, cache-sized
 
 
@@ -106,40 +107,35 @@ class ParamStore:
         grad = self.grad(name)
         grad += g
 
-    def adam_step(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8) -> None:
+    def adam_step(self, learning_rate) -> None:
         """One Adam update from the current gradients; gradients are left intact.
 
         Runs over the arenas in cache-sized blocks with in-place ufuncs; per
         element it computes ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*(g*g)`` and
-        ``x - (lr*(m/c1)) / (sqrt(v/c2)+eps)``.
+        ``x - (lr*(m/c1)) / (sqrt(v/c2)+eps)`` under the ``ADAM_*`` constants.
         """
         if not learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
         t = self.step + 1
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
+        c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
         scratch_a = np.empty(min(_BLOCK, self._value.size), dtype=self.dtype)
         scratch_b = np.empty_like(scratch_a)
         for start in range(0, self._value.size, _BLOCK):
             span = slice(start, start + _BLOCK)
             x, g, m, v = self._value[span], self._grad[span], self._m[span], self._v[span]
             a, b = scratch_a[: x.size], scratch_b[: x.size]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=a)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             m += a
-            v *= beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
+            a *= 1.0 - ADAM_BETA2
             v += a
             np.divide(m, c1, out=a)
             a *= learning_rate
             np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += epsilon
+            b += ADAM_EPSILON
             a /= b
             x -= a
         self.step = t
@@ -178,9 +174,9 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """Read a checkpoint into a float64 store; an unreadable file, a
-        truncated payload or trailing bytes raise a ``ValueError`` that names
-        the file (and the parameter)."""
+        """Read a checkpoint into a float64 store; an unreadable file, unknown
+        header flags, a truncated payload or trailing bytes raise a
+        ``ValueError`` that names the file (and the parameter)."""
         try:
             buf = Path(path).read_bytes()
         except OSError as exc:
@@ -193,6 +189,8 @@ class ParamStore:
         version, flags, step, count = struct.unpack_from("<IIQI", buf, 4)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path} has format version {version}, only {_FORMAT_VERSION} is supported")
+        if flags & ~_FLAG_MOMENTS:
+            raise ValueError(f"{path} sets unknown header flag bits {flags & ~_FLAG_MOMENTS:#x}")
         n_arrays = 3 if flags & _FLAG_MOMENTS else 1
         entries = []  # (name, value[, m, v]) as read-only views of the file buffer
         name = None

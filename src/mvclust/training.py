@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import FORMAT_VERSION, MultiViewDataset, batch_iter, check_format_version, json_args
+from .data import FORMAT_VERSION, LoadError, MultiViewDataset, batch_iter, check_format_version, json_args
 from .data import json_field, load_json, normalize, save_json
 from .model import (
     Model,
@@ -52,7 +52,6 @@ class TrainConfig:
 
     n_clusters: int
     latent_dim: int = 10
-    likelihood: str | None = None  # falls back to the manifest's kind
     learning_rate: float = 1e-4
     epochs: int = 100
     batch_size: int = 256
@@ -66,7 +65,7 @@ class TrainConfig:
     eval_every: int = 10
 
     def __post_init__(self):
-        check_architecture(self, null_likelihood=True)
+        check_architecture(self)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
@@ -324,17 +323,14 @@ def evaluate(model: Model, dataset: MultiViewDataset) -> dict | None:
     return metrics_mod.scores(assign_clusters(model, model_inputs(model, dataset)), dataset.labels)
 
 
-def _prepare_dataset(dataset: MultiViewDataset, config: TrainConfig):
-    kind = config.likelihood or dataset.likelihood
+def _prepare_dataset(dataset: MultiViewDataset) -> MultiViewDataset:
+    """``dataset`` normalized for the likelihood its manifest names."""
+    kind, record = dataset.likelihood, dataset.normalization
     if kind is None:
-        raise ValueError("likelihood is set neither in the config nor the dataset manifest")
-    if dataset.normalization is not None:
-        if dataset.normalization.kind != kind:
-            raise ValueError(
-                f"dataset is already normalized as {dataset.normalization.kind!r}, config wants {kind!r}"
-            )
-        return dataset, kind
-    return normalize(dataset, kind), kind
+        raise ValueError("the dataset manifest names no likelihood")
+    if record is not None and record.kind != kind:
+        raise ValueError(f"dataset is already normalized as {record.kind!r}, its manifest names {kind!r}")
+    return normalize(dataset, kind) if record is None else dataset
 
 
 def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metrics_history) -> None:
@@ -356,7 +352,10 @@ def load_checkpoint(directory):
     state, where = load_json(path, "checkpoint state"), f"checkpoint state {path}"
     check_format_version(state, where)
     kinds = {"epoch_next": "int", "elbo_history": "tuple[float, ...]", "metrics_history": "tuple[dict, ...]"}
-    return model, *(json_field(state, key, kind, where) for key, kind in kinds.items())
+    epoch_next, history, metrics_history = (json_field(state, key, kind, where) for key, kind in kinds.items())
+    if epoch_next != len(history):
+        raise LoadError(f"{where}: epoch_next must be {len(history)}, the length of elbo_history, got {epoch_next}")
+    return model, epoch_next, history, metrics_history
 
 
 def _check_resumable(found: Model, expected: ModelConfig, record, checkpoint) -> None:
@@ -416,7 +415,7 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
     directory and continue to ``config.epochs``. The model trains in a
     ``TRAIN_DTYPE`` store either way.
     """
-    data, kind = _prepare_dataset(dataset, config)
+    data = _prepare_dataset(dataset)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -425,12 +424,14 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
         view_dims=data.dims,
         latent_dim=config.latent_dim,
         n_clusters=config.n_clusters,
-        likelihood=kind,
+        likelihood=data.likelihood,
         encoder_hidden=config.encoder_hidden,
         decoder_hidden=config.decoder_hidden,
     )
     if resume_from:
         model, start_epoch, history, metrics_history = load_checkpoint(resume_from)
+        if start_epoch > config.epochs:
+            raise ValueError(f"checkpoint {resume_from} has epoch_next={start_epoch}, past epochs={config.epochs}")
         _check_resumable(model, mcfg, data.normalization, resume_from)
         # exact for a checkpoint written by train(): it holds float32 values
         model.params = model.params.clone(TRAIN_DTYPE)

@@ -222,7 +222,7 @@ def test_criterion_6_uci_digits_regression():
 
     per_seed = []
     for seed in (0, 1, 2):
-        config = TrainConfig(n_clusters=10, likelihood="bernoulli", seed=seed, eval_every=25)
+        config = TrainConfig(n_clusters=10, seed=seed, eval_every=25)
         result = train(dataset, config)
         per_seed.append(result.final_metrics)
     mean_scores = {k: float(np.mean([s[k] for s in per_seed])) for k in ("acc", "nmi", "ari")}
@@ -266,7 +266,7 @@ def test_criterion_7_invariant_suites():
     # seed determinism of full training runs
     dataset = synth_generate(3, 2, 120, 2, separation=6.0, view_dims=(5, 4), seed=8, noise=0.2)
     config = TrainConfig(
-        n_clusters=3, latent_dim=2, likelihood="gaussian", learning_rate=1e-3,
+        n_clusters=3, latent_dim=2, learning_rate=1e-3,
         epochs=3, batch_size=32, pretrain_epochs=2, finetune_epochs=2, seed=3,
         encoder_hidden=(8, 6), decoder_hidden=(6, 8), eval_every=0,
     )

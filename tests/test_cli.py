@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +81,14 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     assert "nope.json" in captured.err
 
 
-def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
-    code = main([
-        "train", "--manifest", str(workspace["manifest"]),
-        "--config", str(workspace["config"]), "--out", str(tmp_path / "o"), "--seed", "-1",
-    ])
-    assert code == 2
-    assert "seed" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "model").exists()
+def test_train_has_no_seed_flag(workspace, tmp_path, capsys):
+    # the config file's `seed` is the run's one seed
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--manifest", str(workspace["manifest"]), "--config", str(workspace["config"]),
+              "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -98,7 +99,7 @@ def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
         ({"n_clusters": 3, "batch_size": "256"}, "config.json: batch_size must be int, got '256'"),
         ({"n_clusters": 3, "eval_every": -5}, "eval_every must be >= 0"),
         ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
-        ({"n_clusters": 3, "likelihood": "poisson"}, "likelihood must be null or one of ('bernoulli', 'gaussian')"),
+        ({"n_clusters": 3, "likelihood": "poisson"}, "config.json has unknown fields ['likelihood']"),
         ({"n_clusters": 3, "encoder_hidden": [0]}, "encoder_hidden widths must be >= 1, got (0,)"),
     ],
     ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every",
@@ -328,6 +329,20 @@ def test_an_unreadable_input_path_exits_2_naming_it(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_a_view_csv_without_rows_exits_2_with_only_the_error_line(workspace, tmp_path, capsys, text):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    (data / "view1.csv").write_text(text)
+    argv = ["assign", "--model", str(workspace["model"]), "--manifest", str(data / "manifest.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        assert main([*argv, "--out", str(tmp_path / "l.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: view 'view1': {data / 'view1.csv'} has shape (0, 1), manifest declares (120, 4)")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, name", [("assign", "l.txt"), ("embed", "z.csv")])
 def test_a_write_into_a_missing_directory_exits_2_naming_the_file(workspace, tmp_path, capsys, command, name):
     out = tmp_path / "nodir" / name
@@ -510,6 +525,8 @@ _MANIFEST_DAMAGE = {
     "manifest-n-not-a-number": ({"n": None}, "n"),
     "manifest-no-rows": ({"n": 0}, "n"),
     "manifest-no-views": ({"views": []}, "views"),
+    "manifest-zero-dim-second-view": ({"views": [{"name": "v", "path": "v.csv", "dim": 1},
+                                                 {"name": "w", "path": "w.csv", "dim": 0}]}, "dim"),
 }
 
 
@@ -543,12 +560,16 @@ _BAD_FIELDS = {
     "config-infinite-rate": ("config", lambda d: d.update(learning_rate=float("inf")), "learning_rate"),
     "config-lr-decay": ("config", lambda d: d.update(lr_decay=0.9), "lr_decay"),
     "config-decay-every": ("config", lambda d: d.update(decay_every=10), "decay_every"),
+    "config-likelihood": ("config", lambda d: d.update(likelihood="gaussian"), "likelihood"),
     "synth-unknown-field": ("synth", lambda d: d.update(depth=3), "depth"),
     "synth-unsettable-parameter": ("synth", lambda d: d.update(return_latent=True), "return_latent"),
     "synth-missing-field": ("synth", lambda d: d.pop("seed"), "seed"),
     "synth-float-count-and-string-seed": ("synth", lambda d: d.update(n=7.9, seed="3"), "n"),
     "synth-string-seed": ("synth", lambda d: d.update(seed="3"), "seed"),
     "synth-nan-separation": ("synth", lambda d: d.update(separation=float("nan")), "separation"),
+    "synth-zero-view-dim": ("synth", lambda d: d.update(view_dims=[3, 0]), "view_dims"),
+    "synth-negative-noise": ("synth", lambda d: d.update(noise=-0.1), "noise"),
+    "synth-negative-separation": ("synth", lambda d: d.update(separation=-1.0), "separation"),
     "descriptor-unknown-field": ("descriptor", lambda d: d["model"].update(depth=3), "depth"),
     "descriptor-missing-field": ("descriptor", lambda d: d["model"].pop("latent_dim"), "latent_dim"),
     "descriptor-string-dims": ("descriptor", lambda d: d["model"].update(view_dims="45"), "view_dims"),
@@ -556,6 +577,7 @@ _BAD_FIELDS = {
     "manifest-missing-field": ("manifest", lambda d: d.pop("n"), "n"),
     "manifest-string-count": ("manifest", lambda d: d.update(n="120"), "n"),
     "manifest-float-dim": ("manifest", lambda d: d["views"][1].update(dim=2.9), "dim"),
+    "manifest-zero-dim": ("manifest", lambda d: d["views"][1].update(dim=0), "dim"),
     "manifest-view-missing-field": ("manifest", lambda d: d["views"][0].pop("path"), "path"),
     "manifest-number-path": ("manifest", lambda d: d["views"][0].update(path=5), "path"),
     "manifest-number-labels": ("manifest", lambda d: d.update(labels=5), "labels"),
@@ -564,6 +586,7 @@ _BAD_FIELDS = {
     "state-history-of-strings": ("state", lambda d: d.update(elbo_history=["-1.0"]), "elbo_history"),
     "state-metrics-not-objects": ("state", lambda d: d.update(metrics_history=[1]), "metrics_history"),
     "state-missing-metrics": ("state", lambda d: d.pop("metrics_history"), "metrics_history"),
+    "state-epoch-not-history-length": ("state", lambda d: d.update(epoch_next=2), "epoch_next"),
 }
 
 

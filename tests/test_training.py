@@ -32,7 +32,6 @@ def small_config(**overrides):
     base = dict(
         n_clusters=3,
         latent_dim=2,
-        likelihood="gaussian",
         learning_rate=1e-3,
         epochs=3,
         batch_size=32,
@@ -49,6 +48,11 @@ def small_config(**overrides):
 
 def small_dataset(seed=0, n=90, separation=6.0):
     return synth_generate(3, 2, n, 2, separation=separation, view_dims=(5, 4), seed=seed, noise=0.2)
+
+
+def small_bernoulli_dataset():
+    """``small_dataset`` whose manifest names the Bernoulli likelihood."""
+    return dataclasses.replace(small_dataset(), likelihood="bernoulli")
 
 
 # -- TrainConfig ------------------------------------------------------------
@@ -289,7 +293,7 @@ def test_pretrain_recovers_low_rank_view():
 
     dataset = normalize(MultiViewDataset("rank2", ["a"], [mat]), "gaussian")
     config = TrainConfig(
-        n_clusters=2, latent_dim=2, likelihood="gaussian", learning_rate=3e-3,
+        n_clusters=2, latent_dim=2, learning_rate=3e-3,
         pretrain_epochs=40, finetune_epochs=120, batch_size=64, seed=1,
         encoder_hidden=(16, 8), decoder_hidden=(8, 16), epochs=0, eval_every=0,
     )
@@ -402,7 +406,7 @@ def test_train_on_a_normalized_dataset_equals_train_on_the_raw_one():
 
 
 def test_train_rejects_a_dataset_normalized_for_the_other_likelihood():
-    with pytest.raises(ValueError, match="normalized as 'bernoulli', config wants 'gaussian'"):
+    with pytest.raises(ValueError, match="normalized as 'bernoulli', its manifest names 'gaussian'"):
         train(normalize(small_dataset(), "bernoulli"), small_config())
 
 
@@ -426,10 +430,7 @@ def test_train_bernoulli_end_to_end_recovers_clusters():
     # cluster separation for reconstruction on data this small
     dataset = small_dataset(seed=2, n=240, separation=8.0)
     dataset.likelihood = "bernoulli"  # force min-max normalization + Bernoulli decoders
-    config = small_config(
-        likelihood="bernoulli", epochs=15, pretrain_epochs=4, finetune_epochs=6,
-        learning_rate=1e-4, eval_every=15,
-    )
+    config = small_config(epochs=15, pretrain_epochs=4, finetune_epochs=6, learning_rate=1e-4, eval_every=15)
     result = train(dataset, config)
     assert result.model.config.likelihood == "bernoulli"
     assert result.final_metrics["acc"] >= 0.9
@@ -525,7 +526,7 @@ def gaussian_checkpoint(tmp_path_factory):
         ("view_dims", {}, lambda: synth_generate(3, 2, 50, 2, separation=3.0, view_dims=(6, 4), seed=1)),
         ("latent_dim", {"latent_dim": 3}, small_dataset),
         ("n_clusters", {"n_clusters": 4}, small_dataset),
-        ("likelihood", {"likelihood": "bernoulli"}, small_dataset),
+        ("likelihood", {}, small_bernoulli_dataset),
         ("encoder_hidden", {"encoder_hidden": (8, 7)}, small_dataset),
         ("decoder_hidden", {"decoder_hidden": (6, 9)}, small_dataset),
     ],
@@ -533,6 +534,11 @@ def gaussian_checkpoint(tmp_path_factory):
 def test_resume_rejects_a_different_model_by_field_name(gaussian_checkpoint, field, overrides, dataset):
     with pytest.raises(ValueError, match=rf"checkpoint .* has {field}=.*config and dataset give {field}="):
         train(dataset(), small_config(epochs=3, **overrides), resume_from=gaussian_checkpoint)
+
+
+def test_resume_rejects_a_checkpoint_past_the_configured_epochs(gaussian_checkpoint):
+    with pytest.raises(ValueError, match=r"checkpoint .*checkpoint-0002 has epoch_next=2, past epochs=1"):
+        train(small_dataset(), small_config(epochs=1), resume_from=gaussian_checkpoint)
 
 
 def test_resume_rejects_other_data_of_the_same_shape(gaussian_checkpoint):
@@ -576,7 +582,7 @@ def test_train_requires_some_likelihood():
     dataset = small_dataset()
     dataset.likelihood = None
     with pytest.raises(ValueError, match="likelihood"):
-        train(dataset, small_config(likelihood=None, epochs=1))
+        train(dataset, small_config(epochs=1))
 
 
 def test_divergent_training_aborts_with_diagnostics():
