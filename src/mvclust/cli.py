@@ -43,8 +43,8 @@ def cmd_train(args) -> int:
     print(f"elbo: {result.elbo_history[-1]:.6f}" if result.elbo_history else "elbo: nan")
     # train() already scored its last epoch; only score again when it did not
     scores = result.final_metrics
-    if scores is None or scores["epoch"] != config.epochs - 1:
-        scores = evaluate(result.model, dataset)
+    if dataset.labels is not None and (scores is None or scores["epoch"] != config.epochs - 1):
+        scores = evaluate(result.model, model_inputs(result.model, dataset), dataset.labels)
     if scores is not None:
         report = _metrics_report(scores)
         write_atomic(out / "metrics.txt", [report.encode()])

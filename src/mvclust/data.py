@@ -53,10 +53,10 @@ class NormalizationRecord:
 
     Bernoulli normalization stores min/range, Gaussian stores mean/std;
     constant features get scale 0 and map to exactly 0. Applying the record
-    to the data it was fit on reproduces the normalized data exactly.
+    to the data it was fit on reproduces the normalized data exactly. The
+    likelihood of the model that owns the record says which of the two it is.
     """
 
-    kind: str
     offsets: list[np.ndarray]
     scales: list[np.ndarray]
 
@@ -72,19 +72,12 @@ class NormalizationRecord:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "offsets": [o.tolist() for o in self.offsets],
-            "scales": [s.tolist() for s in self.scales],
-        }
+        return {"offsets": [o.tolist() for o in self.offsets], "scales": [s.tolist() for s in self.scales]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationRecord":
-        return cls(
-            kind=d["kind"],
-            offsets=[as_tensor(o) for o in d["offsets"]],
-            scales=[as_tensor(s) for s in d["scales"]],
-        )
+        """The record of ``to_dict``'s keys; any other key is ignored."""
+        return cls(offsets=[as_tensor(o) for o in d["offsets"]], scales=[as_tensor(s) for s in d["scales"]])
 
 
 @dataclass
@@ -216,16 +209,25 @@ def load_json(path, what) -> dict:
 
 def json_fits(value, kind: str) -> bool:
     """Whether a JSON value is of ``kind``, written as an annotation: ``int``
-    (not a bool, not ``2.0``), ``float`` (an int too; not NaN or infinite,
-    which JSON lacks), ``str``, ``dict`` (a JSON object), ``tuple[K, ...]``
-    (a JSON list of kind K), any of these ``| None``; others raise KeyError."""
+    (not a bool, not ``2.0``), ``float`` (an int too, if a float64 holds it;
+    not NaN or infinite, which JSON lacks), ``str``, ``dict`` (a JSON
+    object), ``tuple[K, ...]`` (a JSON list of kind K), any of these
+    ``| None``; others raise KeyError."""
     if value is None:
         return kind.endswith(" | None")
     kind = kind.removesuffix(" | None")
     if kind.startswith("tuple["):
         return isinstance(value, list) and all(json_fits(item, kind[6:-6]) for item in value)
     fits = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
-    return fits and (not isinstance(value, float) or math.isfinite(value))
+    return fits and (kind != "float" or _finite(value))
+
+
+def _finite(number) -> bool:
+    """Whether an int or float is a finite float64."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond float64
+        return False
 
 
 def json_field(obj: dict, key: str, kind: str, where: str):
@@ -297,9 +299,12 @@ def load_dataset(manifest_path) -> MultiViewDataset:
 
 def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
     """Bernoulli: per-feature min-max to [0, 1]. Gaussian: per-feature
-    standardization. Constant features map to 0 under either kind."""
+    standardization. Constant features map to 0 under either kind. Only a
+    raw dataset is taken; an already-normalized one raises ValueError."""
     if kind not in LIKELIHOODS:
         raise ValueError(f"unknown normalization kind {kind!r}")
+    if dataset.normalization is not None:
+        raise ValueError(f"dataset {dataset.name!r} is already normalized")
     offsets, scales = [], []
     for mat in dataset.matrices:
         if kind == "bernoulli":
@@ -309,7 +314,7 @@ def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
             offset, spread = mat.mean(axis=0), mat.std(axis=0)
         offsets.append(offset)
         scales.append(np.where(spread > 0, 1.0 / np.where(spread > 0, spread, 1.0), 0.0))
-    record = NormalizationRecord(kind=kind, offsets=offsets, scales=scales)
+    record = NormalizationRecord(offsets, scales)
     return MultiViewDataset(
         name=dataset.name,
         view_names=list(dataset.view_names),

@@ -42,7 +42,7 @@ GAMMA_FLOOR = 1e-10
 PARAMS_FILE = "params.bin"
 DESCRIPTOR_FILE = "descriptor.json"
 # the JSON kind of each field of a descriptor's normalization record
-_RECORD_KINDS = {"kind": "str", "offsets": "tuple[tuple[float, ...], ...]", "scales": "tuple[tuple[float, ...], ...]"}
+_RECORD_KINDS = {"offsets": "tuple[tuple[float, ...], ...]", "scales": "tuple[tuple[float, ...], ...]"}
 
 # batch size used when pushing whole datasets through the encoders
 _INFER_CHUNK = 4096
@@ -179,33 +179,34 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ParamStore:
 # -- graph builders -----------------------------------------------------------
 
 
+def _dense_stack(g: Graph, layer, view: int, widths, h: str) -> str:
+    """Append the dense layers ``layer(view, i, ...)`` of ``widths`` to ``h``,
+    ReLU after every one but the last; returns the last layer's output."""
+    for i in range(len(widths) - 1):
+        h = g.linear(h, g.param(layer(view, i, "w")), g.param(layer(view, i, "b")), relu=i < len(widths) - 2)
+    return h
+
+
+def _gaussian_head(g: Graph, h: str, d: int, names) -> tuple[str, str]:
+    """Split a (mean, log-variance) head of width 2d into the mean and the
+    clamped log-variance, named ``names``."""
+    mu = g.slice(h, axis=1, start=0, stop=d, name=names[0])
+    return mu, g.clip(g.slice(h, axis=1, start=d, stop=2 * d), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
+
+
 def encoder_nodes(g: Graph, config: ModelConfig, view: int, x: str, names=(None, None)) -> tuple[str, str]:
     """Append the view encoder to ``g``; returns (mean, clamped log-variance) named ``names``."""
-    widths, _ = _layer_widths(config, view)
-    h = x
-    for i in range(len(widths) - 1):
-        h = g.linear(h, g.param(_enc(view, i, "w")), g.param(_enc(view, i, "b")), relu=i < len(widths) - 2)
-    J = config.latent_dim
-    mu = g.slice(h, axis=1, start=0, stop=J, name=names[0])
-    logvar = g.clip(g.slice(h, axis=1, start=J, stop=2 * J), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
-    return mu, logvar
+    h = _dense_stack(g, _enc, view, _layer_widths(config, view)[0], x)
+    return _gaussian_head(g, h, config.latent_dim, names)
 
 
 def decoder_nodes(g: Graph, config: ModelConfig, view: int, z: str, names=(None, None), logits=False):
     """Append the view decoder; returns the Bernoulli mean (its logits when
     ``logits`` is set), or the Gaussian (mean, logvar), named ``names``."""
-    _, widths = _layer_widths(config, view)
-    h = z
-    for i in range(len(widths) - 1):
-        h = g.linear(h, g.param(_dec(view, i, "w")), g.param(_dec(view, i, "b")), relu=i < len(widths) - 2)
-    d = config.view_dims[view]
-    if config.likelihood == "bernoulli":
-        if logits:
-            return h
-        return g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, name=names[0])
-    mu = g.slice(h, axis=1, start=0, stop=d, name=names[0])
-    logvar = g.clip(g.slice(h, axis=1, start=d, stop=2 * d), LOGVAR_MIN, LOGVAR_MAX, name=names[1])
-    return mu, logvar
+    h = _dense_stack(g, _dec, view, _layer_widths(config, view)[1], z)
+    if config.likelihood == "gaussian":
+        return _gaussian_head(g, h, config.view_dims[view], names)
+    return h if logits else g.clip(g.sigmoid(h), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS, name=names[0])
 
 
 @functools.cache
@@ -387,10 +388,10 @@ class Model:
         if record is not None:
             fields = {k: json_field(record, k, kind, f"{where} normalization") for k, kind in _RECORD_KINDS.items()}
             normalization = NormalizationRecord.from_dict(fields)
-            have = (normalization.kind, [o.shape for o in normalization.offsets], [s.shape for s in normalization.scales])
-            want = (config.likelihood, *[[(d,) for d in config.view_dims]] * 2)
+            have = ([o.shape for o in normalization.offsets], [s.shape for s in normalization.scales])
+            want = ([(d,) for d in config.view_dims],) * 2
             if have != want:
-                raise LoadError(f"{where}: normalization (kind, offset shapes, scale shapes) {have} does not fit {want}")
+                raise LoadError(f"{where}: normalization (offset shapes, scale shapes) {have} does not fit {want}")
         params = ParamStore.load(directory / PARAMS_FILE)
         expected = param_shapes(config)
         if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):
@@ -422,14 +423,14 @@ def _check_views(model: Model, views) -> list[np.ndarray]:
 
 
 def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
-    """The dataset's matrices as the encoders take them: a raw dataset's
-    through ``model.normalization``, an already-normalized one's unchanged.
-    The dataset must have the model's view dims."""
+    """A raw dataset's matrices as the encoders take them: through
+    ``model.normalization`` when the model has one. The dataset must have
+    the model's view dims; an already-normalized one raises ValueError."""
+    if dataset.normalization is not None:
+        raise ValueError(f"dataset {dataset.name!r} is already normalized; the model normalizes a raw one")
     if dataset.dims != model.config.view_dims:
         raise ValueError(f"dataset view dims {dataset.dims} do not match model view dims {model.config.view_dims}")
-    if dataset.normalization is None and model.normalization is not None:
-        return model.normalization.apply(dataset.matrices)
-    return dataset.matrices
+    return dataset.matrices if model.normalization is None else model.normalization.apply(dataset.matrices)
 
 
 def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:

@@ -213,12 +213,11 @@ def forward(graph: Graph, inputs, params=None, dtype=np.float64) -> dict:
     return values
 
 
-def backward(graph: Graph, values, loss: str, params=None, input_grads=()) -> dict:
+def backward(graph: Graph, values, loss: str, params) -> None:
     """Accumulate d(loss)/d(param) into ``params`` for a scalar loss value.
 
-    ``values`` is the table returned by ``forward``. Gradients for the graph
-    inputs named in ``input_grads`` are returned (zeros if the loss does not
-    depend on them).
+    ``values`` is the table returned by ``forward``. A gradient with respect
+    to an array is taken by declaring the array a parameter.
     """
     if loss not in values:
         raise GraphError(f"unknown loss value {loss!r}")
@@ -239,16 +238,9 @@ def backward(graph: Graph, values, loss: str, params=None, input_grads=()) -> di
                 grads[name] = grads[name] + contrib
             else:
                 grads[name] = contrib
-    if params is not None:
-        for name in graph.params:
-            if name in grads:
-                params.accumulate_grad(name, grads[name])
-    out = {}
-    for name in input_grads:
-        if name not in values:
-            raise GraphError(f"unknown input {name!r}")
-        out[name] = grads.get(name, np.zeros_like(values[name]))
-    return out
+    for name in graph.params:
+        if name in grads:
+            params.accumulate_grad(name, grads[name])
 
 
 # -- primitive implementations ------------------------------------------------

@@ -28,7 +28,6 @@ from .model import (
     decoder_nodes,
     encoder_nodes,
     fused_posterior,
-    model_inputs,
     param_shapes,
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
@@ -315,25 +314,17 @@ class TrainResult:
         return self.metrics_history[-1] if self.metrics_history else None
 
 
-def evaluate(model: Model, dataset: MultiViewDataset) -> dict | None:
-    """ACC/NMI/ARI/purity of the model's labels on ``model_inputs(model,
-    dataset)``, or None without ground truth."""
-    if dataset.labels is None:
-        return None
-    return metrics_mod.scores(assign_clusters(model, model_inputs(model, dataset)), dataset.labels)
-
-
-def _prepare_dataset(dataset: MultiViewDataset) -> MultiViewDataset:
-    """``dataset`` normalized for the likelihood its manifest names."""
-    kind, record = dataset.likelihood, dataset.normalization
-    if kind is None:
-        raise ValueError("the dataset manifest names no likelihood")
-    if record is not None and record.kind != kind:
-        raise ValueError(f"dataset is already normalized as {record.kind!r}, its manifest names {kind!r}")
-    return normalize(dataset, kind) if record is None else dataset
+def evaluate(model: Model, views, labels) -> dict:
+    """ACC/NMI/ARI/purity of the model's labels for ``views``, the matrices
+    as the encoders take them, against the ground truth ``labels``."""
+    return metrics_mod.scores(assign_clusters(model, views), labels)
 
 
 def save_checkpoint(directory, model: Model, epoch_next: int, elbo_history, metrics_history) -> None:
+    """The model with its Adam moments and the run state; ``epoch_next`` must
+    be the length of ``elbo_history``, as ``load_checkpoint`` requires."""
+    if epoch_next != len(elbo_history):
+        raise ValueError(f"epoch_next must be {len(elbo_history)}, the length of elbo_history, got {epoch_next}")
     directory = Path(directory)
     model.save(directory, include_moments=True)
     state = {
@@ -372,7 +363,7 @@ def _check_resumable(found: Model, expected: ModelConfig, record, checkpoint) ->
     for v, pair in enumerate(zip(record.offsets, record.scales)):
         if stored is None or not all(map(np.array_equal, (stored.offsets[v], stored.scales[v]), pair)):
             raise ValueError(
-                f"checkpoint {checkpoint} was trained on other data: its {record.kind} normalization "
+                f"checkpoint {checkpoint} was trained on other data: its {expected.likelihood} normalization "
                 f"differs from the dataset's in view {v}"
             )
 
@@ -413,9 +404,12 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
     Fresh runs do pretraining and GMM initialization first; resumed runs
     pick up the model, optimizer moments and histories from a checkpoint
     directory and continue to ``config.epochs``. The model trains in a
-    ``TRAIN_DTYPE`` store either way.
+    ``TRAIN_DTYPE`` store either way. ``dataset`` is raw: it is normalized
+    for the likelihood its manifest names, and the model keeps the record.
     """
-    data = _prepare_dataset(dataset)
+    if dataset.likelihood is None:
+        raise ValueError("the dataset manifest names no likelihood")
+    data = normalize(dataset, dataset.likelihood)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -454,7 +448,7 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
 
         is_last = epoch == config.epochs - 1
         if data.labels is not None and config.eval_every > 0 and ((epoch + 1) % config.eval_every == 0 or is_last):
-            metrics_history.append({"epoch": epoch, **evaluate(model, data)})
+            metrics_history.append({"epoch": epoch, **evaluate(model, data.matrices, data.labels)})
 
         if out_dir:
             _write_history(out_dir / HISTORY_FILE, history, metrics_history, config)

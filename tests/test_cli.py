@@ -181,6 +181,21 @@ def test_assign_matches_library(workspace, tmp_path):
     assert np.array_equal(got, expected)
 
 
+def test_an_archive_whose_record_names_its_kind_assigns_the_same_labels(workspace, tmp_path):
+    # archives written before the record lost its "kind" key still load
+    model_dir = tmp_path / "model"
+    shutil.copytree(workspace["model"], model_dir)
+    descriptor = json.loads((model_dir / "descriptor.json").read_text())
+    assert sorted(descriptor["normalization"]) == ["offsets", "scales"]
+    _damage_descriptor(model_dir, lambda d: d["normalization"].update(kind="gaussian"))
+    labels = {}
+    for tag, model in (("new", workspace["model"]), ("old", model_dir)):
+        labels[tag] = tmp_path / f"{tag}.txt"
+        argv = ["assign", "--model", str(model), "--manifest", str(workspace["manifest"]), "--out", str(labels[tag])]
+        assert main(argv) == 0
+    assert labels["old"].read_bytes() == labels["new"].read_bytes()
+
+
 def test_assign_on_a_float32_trained_archive_matches_the_run_in_process(workspace, tmp_path):
     from mvclust import TrainConfig, train
 
@@ -513,7 +528,6 @@ _DESCRIPTOR_DAMAGE = {
     "descriptor-format-version-7": lambda d: d.update(format_version=7),
     "descriptor-record-of-one-view": lambda d: [d["normalization"][key].pop() for key in ("offsets", "scales")],
     "descriptor-record-of-other-dim": lambda d: d["normalization"]["scales"][1].pop(),
-    "descriptor-record-of-other-kind": lambda d: d["normalization"].update(kind="bernoulli"),
     "descriptor-record-nan-offset": lambda d: d["normalization"]["offsets"][0].__setitem__(0, float("nan")),
 }
 
@@ -558,6 +572,7 @@ _BAD_FIELDS = {
     "config-missing-field": ("config", lambda d: d.pop("n_clusters"), "n_clusters"),
     "config-float-count": ("config", lambda d: d.update(epochs=4.0), "epochs"),
     "config-infinite-rate": ("config", lambda d: d.update(learning_rate=float("inf")), "learning_rate"),
+    "config-rate-beyond-float": ("config", lambda d: d.update(learning_rate=10**400), "learning_rate"),
     "config-lr-decay": ("config", lambda d: d.update(lr_decay=0.9), "lr_decay"),
     "config-decay-every": ("config", lambda d: d.update(decay_every=10), "decay_every"),
     "config-likelihood": ("config", lambda d: d.update(likelihood="gaussian"), "likelihood"),
@@ -570,6 +585,7 @@ _BAD_FIELDS = {
     "synth-zero-view-dim": ("synth", lambda d: d.update(view_dims=[3, 0]), "view_dims"),
     "synth-negative-noise": ("synth", lambda d: d.update(noise=-0.1), "noise"),
     "synth-negative-separation": ("synth", lambda d: d.update(separation=-1.0), "separation"),
+    "synth-separation-beyond-float": ("synth", lambda d: d.update(separation=10**400), "separation"),
     "descriptor-unknown-field": ("descriptor", lambda d: d["model"].update(depth=3), "depth"),
     "descriptor-missing-field": ("descriptor", lambda d: d["model"].pop("latent_dim"), "latent_dim"),
     "descriptor-string-dims": ("descriptor", lambda d: d["model"].update(view_dims="45"), "view_dims"),

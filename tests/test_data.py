@@ -1,5 +1,6 @@
 """Dataset loading, normalization, batching, synthetic generator."""
 
+import itertools
 import json
 
 import numpy as np
@@ -105,6 +106,13 @@ def test_standardization_moments():
     out = normalize(ds, "gaussian")
     assert np.abs(out.matrices[0].mean(axis=0)).max() < 1e-9
     assert np.abs(out.matrices[0].var(axis=0) - 1.0).max() < 1e-6
+
+
+def test_normalize_rejects_an_already_normalized_dataset():
+    ds = MultiViewDataset("t", ["a"], [np.arange(6.0).reshape(3, 2)])
+    for first, second in itertools.product(("bernoulli", "gaussian"), repeat=2):
+        with pytest.raises(ValueError, match="dataset 't' is already normalized"):
+            normalize(normalize(ds, first), second)
 
 
 def test_record_reapplication_is_exact():

@@ -6,7 +6,7 @@ import pytest
 from mvclust import Graph, GraphError, ModelConfig, NumericError, ParamStore, backward, forward
 from mvclust.numgrad import graph as graph_mod
 
-from helpers import random_views, randomized_model, rel_err
+from helpers import fd_gradient_errors, random_views, randomized_model
 
 
 def _store(**arrays):
@@ -25,11 +25,11 @@ def test_linear_identity_forward():
 def _dense_pair(relu):
     """The same dense layer as one ``linear`` node and as the reference
     ``matmul -> add -> relu`` chain, each under a loss whose gradient has
-    both signs."""
+    both signs; ``x`` is a parameter, so its gradient is stored too."""
     graphs = []
     for fused in (True, False):
         g = Graph()
-        x, w, b = g.input("x"), g.param("w"), g.param("b")
+        x, w, b = g.param("x"), g.param("w"), g.param("b")
         if fused:
             g.linear(x, w, b, relu=relu, name="h")
         elif relu:
@@ -44,14 +44,14 @@ def _dense_pair(relu):
 @pytest.mark.parametrize("relu", [True, False])
 def test_linear_equals_matmul_add_relu_chain_bitwise(relu):
     rng = np.random.default_rng(21)
-    inputs = {"x": rng.standard_normal((7, 5)), "c": rng.standard_normal((7, 4))}
+    x, inputs = rng.standard_normal((7, 5)), {"c": rng.standard_normal((7, 4))}
     w, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
     results = []
     for g in _dense_pair(relu):
-        store = _store(w=w, b=b)
+        store = _store(x=x, w=w, b=b)
         values = forward(g, inputs, store)
-        grads = backward(g, values, "loss", store, input_grads=["x"])
-        results.append((values["h"], values["loss"], grads["x"], store.grad("w"), store.grad("b")))
+        backward(g, values, "loss", store)
+        results.append((values["h"], values["loss"], *(store.grad(name) for name in ("x", "w", "b"))))
     fused, chain = results
     assert relu == bool(np.any(fused[0] == 0.0))  # the mask is exercised
     for got, want in zip(fused, chain):
@@ -61,32 +61,19 @@ def test_linear_equals_matmul_add_relu_chain_bitwise(relu):
 def test_linear_finite_differences():
     rng = np.random.default_rng(22)
     g = Graph()
-    h = g.linear(g.input("x"), g.param("w1"), g.param("b1"), relu=True)
+    h = g.linear(g.param("x"), g.param("w1"), g.param("b1"), relu=True)
     g.mean(g.square(g.linear(h, g.param("w2"), g.param("b2"))), name="loss")
     store = _store(
         w1=rng.standard_normal((4, 6)),
         b1=rng.standard_normal(6),
         w2=rng.standard_normal((6, 2)),
         b2=rng.standard_normal(2),
+        x=rng.standard_normal((5, 4)),
     )
-    inputs = {"x": rng.standard_normal((5, 4))}
-    values = forward(g, inputs, store)
+    values = forward(g, {}, store)
     assert np.any(values[h] == 0.0) and np.any(values[h] > 0.0)
-    grads = backward(g, values, "loss", store, input_grads=["x"])
-    fd = _fd_input_grad(g, inputs, store, "loss", "x")
-    assert max(rel_err(a, b) for a, b in zip(grads["x"].reshape(-1), fd.reshape(-1))) < 1e-4
-    h_step = 1e-5
-    for name in store.names():
-        flat = store[name].reshape(-1)
-        grad = store.grad(name).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h_step
-            up = float(forward(g, inputs, store)["loss"])
-            flat[i] = orig - h_step
-            down = float(forward(g, inputs, store)["loss"])
-            flat[i] = orig
-            assert rel_err(grad[i], (up - down) / (2 * h_step)) < 1e-4
+    worst, worst_at = fd_gradient_errors(g, {}, store)
+    assert worst < 1e-4, worst_at
 
 
 def test_linear_relu_overflow_names_the_node():
@@ -130,38 +117,26 @@ def test_two_layer_network_hand_evaluation():
     assert values["out"].reshape(-1) == pytest.approx([-1.95], abs=1e-12)
 
 
+def _grad_of_x(g, x, loss="loss", inputs=None, dtype=np.float64):
+    """The loss value and d(loss)/dx of ``g``, whose parameter ``x`` is bound to ``x``."""
+    store = ParamStore([("x", x)], dtype=dtype)
+    values = forward(g, inputs, store, dtype=dtype)
+    backward(g, values, loss, store)
+    return values, store.grad("x")
+
+
 def test_backward_of_sum_is_ones():
     g = Graph()
-    x = g.input("x")
-    g.sum(x, name="loss")
-    values = forward(g, {"x": np.array([3.0, -1.0, 2.5])})
-    grads = backward(g, values, "loss", input_grads=["x"])
-    assert np.array_equal(grads["x"], np.ones(3))
+    g.sum(g.param("x"), name="loss")
+    _, grad = _grad_of_x(g, np.array([3.0, -1.0, 2.5]))
+    assert np.array_equal(grad, np.ones(3))
 
 
 def test_backward_of_half_sum_square_is_x():
     g = Graph()
-    x = g.input("x")
-    g.affine(g.sum(g.square(x)), scale=0.5, name="loss")
-    values = forward(g, {"x": np.array([1.0, -2.0, 3.0])})
-    grads = backward(g, values, "loss", input_grads=["x"])
-    assert grads["x"] == pytest.approx([1.0, -2.0, 3.0], abs=1e-12)
-
-
-def _fd_input_grad(g, inputs, store, loss, key, h=1e-5):
-    base = {k: np.array(v, dtype=np.float64) for k, v in inputs.items()}
-    x = base[key]
-    fd = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = float(forward(g, base, store)[loss])
-        flat[i] = orig - h
-        down = float(forward(g, base, store)[loss])
-        flat[i] = orig
-        fd.reshape(-1)[i] = (up - down) / (2 * h)
-    return fd
+    g.affine(g.sum(g.square(g.param("x"))), scale=0.5, name="loss")
+    _, grad = _grad_of_x(g, np.array([1.0, -2.0, 3.0]))
+    assert grad == pytest.approx([1.0, -2.0, 3.0], abs=1e-12)
 
 
 def test_fd_random_two_layer_network():
@@ -177,31 +152,17 @@ def test_fd_random_two_layer_network():
         w2=rng.standard_normal((6, 2)),
         b2=rng.standard_normal(2),
     )
-    inputs = {"x": rng.standard_normal((5, 4))}
-    store.zero_grads()
-    values = forward(g, inputs, store)
-    backward(g, values, "loss", store)
-    h_step = 1e-5
-    for name in store.names():
-        flat = store[name].reshape(-1)
-        grad = store.grad(name).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h_step
-            up = float(forward(g, inputs, store)["loss"])
-            flat[i] = orig - h_step
-            down = float(forward(g, inputs, store)["loss"])
-            flat[i] = orig
-            assert rel_err(grad[i], (up - down) / (2 * h_step)) < 1e-4
+    worst, worst_at = fd_gradient_errors(g, {"x": rng.standard_normal((5, 4))}, store)
+    assert worst < 1e-4, worst_at
 
 
 def _random_program(rng):
-    """A random chain of primitives ending in a scalar; returns graph,
-    inputs and parameter store."""
+    """A random chain of primitives ending in a scalar; returns the graph
+    and its parameter store, which holds its argument ``x`` too."""
     g = Graph()
-    x = g.input("x")
+    x = g.param("x")
     rows, cols = 3, 4
-    store = _store(p_row=0.5 + rng.uniform(0.1, 1.0, size=cols))
+    p_row = 0.5 + rng.uniform(0.1, 1.0, size=cols)
     cur = g.mul(x, g.param("p_row"))
     for step in range(rng.integers(2, 6)):
         op = rng.integers(0, 8)
@@ -224,24 +185,15 @@ def _random_program(rng):
             cur = g.sub(cur, g.affine(tail, scale=0.5))
     cur = g.logsumexp(cur, axis=1)
     g.mean(cur, name="loss")
-    inputs = {"x": rng.standard_normal((rows, cols))}
-    return g, inputs, store
+    return g, _store(p_row=p_row, x=rng.standard_normal((rows, cols)))
 
 
 def test_fd_consistency_over_randomized_graphs():
     rng = np.random.default_rng(12)
     for _ in range(25):
-        g, inputs, store = _random_program(rng)
-        store.zero_grads()
-        values = forward(g, inputs, store)
-        backward(g, values, "loss", store)
-        grads = backward(g, values, "loss", input_grads=["x"])
-        fd = _fd_input_grad(g, inputs, store, "loss", "x")
-        worst = max(
-            rel_err(a, b)
-            for a, b in zip(grads["x"].reshape(-1), fd.reshape(-1))
-        )
-        assert worst < 1e-4
+        g, store = _random_program(rng)
+        worst, worst_at = fd_gradient_errors(g, {}, store)
+        assert worst < 1e-4, worst_at
 
 
 def test_backward_linearity():
@@ -334,20 +286,19 @@ def test_loss_must_be_scalar():
     g.square(g.input("x"), name="vec")
     values = forward(g, {"x": np.ones(3)})
     with pytest.raises(GraphError, match="scalar"):
-        backward(g, values, "vec")
+        backward(g, values, "vec", ParamStore())
 
 
 def test_slice_roundtrip():
     g = Graph()
-    x = g.input("x")
+    x = g.param("x")
     g.slice(x, axis=1, start=0, stop=2, name="left")
     g.slice(x, axis=1, start=2, stop=5, name="right")
     g.sum(g.square(g.slice(x, axis=1, start=1, stop=4)), name="loss")
     a, b = np.arange(4.0).reshape(2, 2), np.arange(6.0).reshape(2, 3) + 10
-    values = forward(g, {"x": np.concatenate([a, b], axis=1)})
+    values, grad = _grad_of_x(g, np.concatenate([a, b], axis=1))
     assert np.array_equal(values["left"], a)
     assert np.array_equal(values["right"], b)
-    grad = backward(g, values, "loss", input_grads=["x"])["x"]
     # loss touches column 1 of a and columns 0-1 of b
     expected_a = np.zeros((2, 2))
     expected_a[:, 1] = 2 * a[:, 1]
@@ -369,11 +320,9 @@ def test_logsumexp_matches_reference():
 
 def test_clip_passes_gradient_only_inside_bounds():
     g = Graph()
-    x = g.input("x")
-    g.sum(g.clip(x, -1.0, 1.0), name="loss")
-    values = forward(g, {"x": np.array([-2.0, 0.3, 2.0])})
-    grads = backward(g, values, "loss", input_grads=["x"])
-    assert np.array_equal(grads["x"], [0.0, 1.0, 0.0])
+    g.sum(g.clip(g.param("x"), -1.0, 1.0), name="loss")
+    values, grad = _grad_of_x(g, np.array([-2.0, 0.3, 2.0]))
+    assert np.array_equal(grad, [0.0, 1.0, 0.0])
     assert np.array_equal(values["loss"], np.asarray(0.3 - 1.0 + 1.0))
 
 
@@ -401,22 +350,19 @@ def test_sigmoid_is_bitwise_the_masked_form(dtype):
 def test_softplus_finite_differences():
     rng = np.random.default_rng(32)
     g = Graph()
-    g.sum(g.mul(g.softplus(g.input("x")), g.input("c")), name="loss")
-    inputs = {"x": rng.standard_normal((4, 5)) * 3, "c": rng.standard_normal((4, 5))}
-    values = forward(g, inputs)
-    assert values["loss"] == pytest.approx(np.sum(np.log1p(np.exp(inputs["x"])) * inputs["c"]), abs=1e-12)
-    grads = backward(g, values, "loss", input_grads=["x"])
-    fd = _fd_input_grad(g, inputs, None, "loss", "x")
-    assert max(rel_err(a, b) for a, b in zip(grads["x"].reshape(-1), fd.reshape(-1))) < 1e-6
+    g.sum(g.mul(g.softplus(g.param("x")), g.input("c")), name="loss")
+    x, inputs = rng.standard_normal((4, 5)) * 3, {"c": rng.standard_normal((4, 5))}
+    store = _store(x=x)
+    assert forward(g, inputs, store)["loss"] == pytest.approx(np.sum(np.log1p(np.exp(x)) * inputs["c"]), abs=1e-12)
+    worst, worst_at = fd_gradient_errors(g, inputs, store)
+    assert worst < 1e-6, worst_at
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softplus_value_and_gradient_finite_at_extremes(dtype):
     g = Graph()
-    g.sum(g.softplus(g.input("x")), name="loss")
-    x = np.array([-1e3, -40.0, 0.0, 40.0, 1e3], dtype=dtype)
-    values = forward(g, {"x": x}, dtype=dtype)
-    grad = backward(g, values, "loss", input_grads=["x"])["x"]
+    g.sum(g.softplus(g.param("x")), name="loss")
+    values, grad = _grad_of_x(g, np.array([-1e3, -40.0, 0.0, 40.0, 1e3], dtype=dtype), dtype=dtype)
     assert values["loss"].dtype == grad.dtype == dtype
     assert np.all(np.isfinite(values["loss"])) and np.all(np.isfinite(grad))
     assert values["loss"] == pytest.approx(1040.0 + np.log(2.0), rel=1e-6)

@@ -23,7 +23,7 @@ from mvclust import (
     model_inputs,
     responsibilities,
 )
-from mvclust.data import MultiViewDataset
+from mvclust.data import MultiViewDataset, normalize
 from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, softmax
 
 from helpers import gamma_direct, random_views, randomized_model, tiny_config
@@ -358,6 +358,21 @@ def test_model_inputs_rejects_other_view_dims():
     dataset = MultiViewDataset("other", ["a", "b"], [np.zeros((3, 4)), np.zeros((3, 6))])
     with pytest.raises(ValueError, match=r"dataset view dims \(4, 6\) do not match model view dims \(4, 5\)"):
         model_inputs(model, dataset)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_model_inputs_puts_a_raw_dataset_through_the_model_record_only(kind):
+    config = tiny_config(kind)
+    own = MultiViewDataset("own", ["a", "b"], random_views(config, 6, seed=1))
+    other = MultiViewDataset("other", ["a", "b"], random_views(config, 6, seed=2))
+    model = zero_model(config)
+    assert model_inputs(model, other) is other.matrices  # no record, nothing to apply
+    model.normalization = normalize(own, kind).normalization
+    for got, want in zip(model_inputs(model, other), model.normalization.apply(other.matrices)):
+        assert np.array_equal(got, want)
+    # a dataset normalized by its own record would reach the encoders mis-scaled
+    with pytest.raises(ValueError, match="dataset 'other' is already normalized"):
+        model_inputs(model, normalize(other, kind))
 
 
 def test_assign_is_deterministic():

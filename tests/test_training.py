@@ -14,14 +14,17 @@ from mvclust import (
     NumericError,
     ParamStore,
     TrainConfig,
+    assign_clusters,
     evaluate,
     init_gmm,
     kmeans,
+    model_inputs,
     normalize,
     pretrain_autoencoders,
     synth_generate,
     train,
 )
+from mvclust import metrics as metrics_mod
 from mvclust.model import softmax
 from mvclust.training import DECAY_EVERY, LR_DECAY, TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
 
@@ -356,17 +359,17 @@ def test_init_gmm_recovers_separated_embedding_centroids():
         assert best < 0.1
 
 
-def test_evaluate_puts_a_raw_dataset_through_the_model_record():
+def test_evaluate_scores_the_matrices_it_is_given():
     raw = small_dataset()
     normalized = normalize(raw, "gaussian")
     model = Model.initialize(ModelConfig(raw.dims, 2, 3, "gaussian", (8, 6), (6, 8)), seed=2)
     model.normalization = normalized.normalization
     init_gmm(model, normalized, seed=2)
-    scores = evaluate(model, normalized)
-    assert evaluate(model, raw) == scores
-    # the record matters: the raw matrices as they are give other labels
-    model.normalization = None
-    assert evaluate(model, raw) != scores
+    scores = evaluate(model, normalized.matrices, raw.labels)
+    assert scores == metrics_mod.scores(assign_clusters(model, normalized.matrices), raw.labels)
+    assert evaluate(model, model_inputs(model, raw), raw.labels) == scores
+    # no record is applied: the raw matrices as they are give other labels
+    assert evaluate(model, raw.matrices, raw.labels) != scores
 
 
 # -- train ------------------------------------------------------------------------
@@ -396,17 +399,13 @@ def test_train_seed_determinism():
         assert np.array_equal(a.model.params[name], b.model.params[name])
 
 
-def test_train_on_a_normalized_dataset_equals_train_on_the_raw_one():
-    dataset = small_dataset()
-    raw = train(dataset, small_config())
-    normalized = train(normalize(dataset, "gaussian"), small_config())
-    assert normalized.elbo_history == raw.elbo_history
-    for name in raw.model.params.names():
-        assert np.array_equal(normalized.model.params[name], raw.model.params[name])
+def test_train_rejects_an_already_normalized_dataset():
+    with pytest.raises(ValueError, match="dataset 'synthetic' is already normalized"):
+        train(normalize(small_dataset(), "gaussian"), small_config())
 
 
 def test_train_rejects_a_dataset_normalized_for_the_other_likelihood():
-    with pytest.raises(ValueError, match="normalized as 'bernoulli', its manifest names 'gaussian'"):
+    with pytest.raises(ValueError, match="dataset 'synthetic' is already normalized"):
         train(normalize(small_dataset(), "bernoulli"), small_config())
 
 
@@ -502,6 +501,13 @@ def test_save_checkpoint_writes_parameters_once(tmp_path, monkeypatch):
     assert calls == [True]
     loaded, epoch_next, history, _ = load_checkpoint(tmp_path / "ckpt")
     assert (epoch_next, history, loaded.params.step) == (1, [-1.0], 3)
+
+
+def test_save_checkpoint_refuses_a_state_load_checkpoint_would_reject(tmp_path):
+    model = Model.initialize(tiny_config("gaussian"), 0)
+    with pytest.raises(ValueError, match="epoch_next must be 1, the length of elbo_history, got 5"):
+        save_checkpoint(tmp_path / "ckpt", model, 5, [-1.0], [])
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
