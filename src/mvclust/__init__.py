@@ -12,7 +12,6 @@ from .data import (
 )
 from .metrics import accuracy, ari, contingency, hungarian, nmi, purity
 from .model import (
-    GmmPrior,
     LatentPosterior,
     Model,
     ModelConfig,

@@ -114,17 +114,28 @@ class MultiViewDataset:
         return tuple(mat.shape[1] for mat in self.matrices)
 
 
+def _finite_cells(text: str, count=None) -> bool:
+    """Whether the matrix reader's own rule (``np.loadtxt``) reads ``text``
+    as finite numbers only, exactly ``count`` of them when it is given; a
+    blank line reads as none."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=1)
+    except ValueError:
+        return False
+    return bool(np.isfinite(values).all()) and count in (None, values.size)
+
+
 def _find_bad_cell(path: Path):
     """(row, column, text) of the first cell that is not a finite number."""
     with open(path) as handle:
         for row, line in enumerate(handle):
+            if _finite_cells(line):
+                continue
             for col, cell in enumerate(line.rstrip("\n").split(",")):
-                try:
-                    if math.isfinite(float(cell)):
-                        continue
-                except ValueError:
-                    pass
-                return row, col, cell
+                if not _finite_cells(cell, 1):
+                    return row, col, cell
     return None
 
 
@@ -150,8 +161,9 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
 
 
 def load_labels(path, n) -> np.ndarray:
-    """One non-negative integer per non-blank line; with ``n`` not None the
-    file must hold exactly ``n`` of them. A ``LoadError`` names the file."""
+    """One non-negative integer in ASCII digits per non-blank line; with
+    ``n`` not None the file must hold exactly ``n`` of them. A ``LoadError``
+    names the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -163,10 +175,10 @@ def load_labels(path, n) -> np.ndarray:
         raise LoadError(f"labels file {path} has {len(lines)} entries, expected {n}")
     labels = np.empty(len(lines), dtype=np.int64)
     for i, token in enumerate(lines):
-        try:
-            value = int(token)
-        except ValueError:
-            raise LoadError(f"labels file {path} row {i}: {token!r} is not an integer") from None
+        # ASCII digits only: int() also reads "1_0" as 10 and other scripts' digits
+        if not (token.isascii() and token.removeprefix("-").isdigit()):
+            raise LoadError(f"labels file {path} row {i}: {token!r} is not an integer")
+        value = int(token)
         if value < 0:
             raise LoadError(f"labels file {path} row {i}: label {value} out of range (must be >= 0)")
         labels[i] = value

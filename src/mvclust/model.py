@@ -14,9 +14,11 @@ reconstruction, a responsibility-weighted Gaussian cross term, a
 categorical term sum_c gamma_c * log(pi_c / gamma_c), and the posterior
 entropy term 0.5 * sum_j (1 + log sigma2_j).
 
-Fusion and the responsibilities gamma are defined once, by the node builders
-``fusion_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
-``fuse_posteriors`` and ``responsibilities`` forward small graphs of them.
+Fusion, the mixture (log pi, means, clamped log-variances) and the
+responsibilities gamma are defined once, by the node builders
+``fusion_nodes``, ``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph
+calls them, and ``fuse_posteriors`` and ``responsibilities`` forward small
+graphs of them.
 """
 
 from __future__ import annotations
@@ -81,32 +83,6 @@ def check_architecture(config) -> None:
     for name in ("latent_dim", "n_clusters"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass
-class GmmPrior:
-    """Mixture weights plus per-component diagonal Gaussian moments."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        self.weights = as_tensor(self.weights).reshape(-1)
-        self.means = as_tensor(self.means)
-        self.variances = as_tensor(self.variances)
-        if self.means.shape != self.variances.shape or self.means.ndim != 2:
-            raise ValueError("means and variances must both be (K, J)")
-        if self.weights.shape[0] != self.means.shape[0]:
-            raise ValueError("weights length must match component count")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-8:
-            raise ValueError("mixture weights must be positive and sum to 1")
-        if np.any(self.variances <= 0):
-            raise ValueError("component variances must be positive")
-
-    @property
-    def n_clusters(self) -> int:
-        return self.means.shape[0]
 
 
 @dataclass
@@ -237,6 +213,15 @@ def fusion_nodes(g: Graph, per_view, w: str) -> tuple[str, str]:
     return mu_t, var_t
 
 
+def mixture_nodes(g: Graph) -> tuple[str, str, str]:
+    """Declare the mixture parameters; returns (log pi, means, clamped
+    log-variances), with log pi = mix_logits - logsumexp(mix_logits)."""
+    mix = g.param("mix_logits")
+    log_pi = g.sub(mix, g.logsumexp(mix))  # (K,)
+    means = g.param("gmm_means")
+    return log_pi, means, g.clip(g.param("gmm_logvars"), LOGVAR_MIN, LOGVAR_MAX)
+
+
 def _gamma_nodes(g: Graph, J: int, z: str, log_pi: str, means: str, logvars: str) -> str:
     """Posterior cluster probabilities of z under the mixture, floored and
     renormalized; log-sum-exp normalization happens in log space."""
@@ -280,10 +265,7 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
     mu_t, var_t = fusion_nodes(g, [(mu_v, g.exp(logvar_v)) for mu_v, logvar_v in per_view], w)
     sigma_t = g.sqrt(var_t)
 
-    mix = g.param("mix_logits")
-    log_pi = g.sub(mix, g.logsumexp(mix))  # (K,)
-    means = g.param("gmm_means")
-    logvars = g.clip(g.param("gmm_logvars"), LOGVAR_MIN, LOGVAR_MAX)
+    log_pi, means, logvars = mixture_nodes(g)
     var_c = g.exp(logvars)
 
     # entropy term is draw-independent: 0.5 * sum_j (1 + log sigma2_j)
@@ -354,15 +336,6 @@ class Model:
 
     def elbo_graph(self, n_samples: int = 1) -> Graph:
         return build_elbo_graph(self.config, n_samples)
-
-    def prior(self) -> GmmPrior:
-        """The mixture in float64, whatever the store's dtype."""
-        logvars = np.clip(as_tensor(self.params["gmm_logvars"]), LOGVAR_MIN, LOGVAR_MAX)
-        return GmmPrior(
-            weights=softmax(self.params["mix_logits"]),
-            means=self.params["gmm_means"].copy(),
-            variances=np.exp(logvars),
-        )
 
     def save(self, directory, include_moments=False) -> None:
         directory = Path(directory)
@@ -480,20 +453,24 @@ def decode(model: Model, view: int, z) -> np.ndarray:
 @functools.cache
 def _gamma_graph(J: int) -> tuple[Graph, str]:
     g = Graph()
-    return g, _gamma_nodes(g, J, *(g.input(name) for name in ("z", "log_pi", "means", "logvars")))
+    return g, _gamma_nodes(g, J, g.input("z"), *mixture_nodes(g))
 
 
-def responsibilities(z, prior: GmmPrior) -> np.ndarray:
-    """Posterior cluster probabilities gamma_c for each z row.
+def responsibilities(z, mixture) -> np.ndarray:
+    """Posterior cluster probabilities gamma_c for each z row, in float64,
+    under the mixture parameters ``mixture``: a mapping (a ParamStore or a
+    dict) holding ``mix_logits``, ``gmm_means`` and ``gmm_logvars``.
 
     Computed in log space with log-sum-exp normalization, then floored at
     ``GAMMA_FLOOR`` and renormalized so collapsed components cannot produce
     -inf downstream.
     """
-    z2 = _check_batch(z, prior.means.shape[1], "z")
-    g, gamma = _gamma_graph(prior.means.shape[1])
-    inputs = {"z": z2, "log_pi": np.log(prior.weights), "means": prior.means, "logvars": np.log(prior.variances)}
-    out = forward(g, inputs)[gamma]
+    shapes = tuple(np.shape(mixture[name]) for name in ("mix_logits", "gmm_means", "gmm_logvars"))
+    if len(shapes[1]) != 2 or shapes != (shapes[1][:1], shapes[1], shapes[1]):
+        raise ValueError(f"mix_logits, gmm_means, gmm_logvars must be (K,), (K, J), (K, J), got {shapes}")
+    J = shapes[1][1]
+    g, gamma = _gamma_graph(J)
+    out = forward(g, {"z": _check_batch(z, J, "z")}, mixture)[gamma]
     return out[0] if np.ndim(z) == 1 else out
 
 
@@ -522,7 +499,7 @@ def assign_clusters(model: Model, views) -> np.ndarray:
     Ties in the argmax break toward the smallest cluster index.
     """
     post = fused_posterior(model, views)
-    gamma = responsibilities(post.mean, model.prior())
+    gamma = responsibilities(post.mean, model.params)
     return np.argmax(gamma, axis=1)
 
 
@@ -551,10 +528,11 @@ def generate(model: Model, view: int, cluster: int, noise) -> np.ndarray:
 
     Returns the decoded mean (no binarization for Bernoulli decoders).
     """
-    prior = model.prior()
-    if not 0 <= cluster < prior.n_clusters:
-        raise ValueError(f"cluster index {cluster} out of range [0, {prior.n_clusters})")
+    K = model.config.n_clusters
+    if not 0 <= cluster < K:
+        raise ValueError(f"cluster index {cluster} out of range [0, {K})")
     eps = _check_batch(noise, model.config.latent_dim, "noise")
-    z = prior.means[cluster] + np.sqrt(prior.variances[cluster]) * eps
+    logvar = np.clip(as_tensor(model.params["gmm_logvars"][cluster]), LOGVAR_MIN, LOGVAR_MAX)
+    z = as_tensor(model.params["gmm_means"][cluster]) + np.sqrt(np.exp(logvar)) * eps
     out = decode(model, view, z)
     return out[0] if np.ndim(noise) == 1 else out

@@ -32,7 +32,7 @@ from .model import (
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
 from .numgrad.params import write_atomic
-from .seeding import rng_for
+from .seeding import check_seed, rng_for
 
 CHECKPOINT_STATE_FILE = "state.json"
 HISTORY_FILE = "history.csv"
@@ -68,15 +68,21 @@ class TrainConfig:
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
-                  "finetune_epochs": 0, "seed": 0, "checkpoint_every": 0, "eval_every": 0}
+                  "finetune_epochs": 0, "checkpoint_every": 0, "eval_every": 0}
         for name, low in lowest.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        check_seed(self.seed)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         """A JSON object of fields; anything else raises a ``LoadError`` naming the file."""
-        return cls(**json_args(load_json(path, "config file"), cls, f"config file {path}"))
+        where = f"config file {path}"
+        args = json_args(load_json(path, "config file"), cls, where)
+        try:
+            return cls(**args)
+        except ValueError as exc:
+            raise LoadError(f"{where}: {exc}") from None
 
     def learning_rate_at(self, epoch: int) -> float:
         return self.learning_rate * LR_DECAY ** (epoch // DECAY_EVERY)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from mvclust import Model, ModelConfig, backward, forward
+from mvclust.model import LOGVAR_MAX, LOGVAR_MIN
 
 
 def tiny_config(kind, latent_dim=2, n_clusters=3):
@@ -62,6 +63,21 @@ def fd_gradient_errors(graph, inputs, params, loss="loss", h=1e-5):
             if err > worst:
                 worst, worst_at = err, (name, i, float(grad[i]), fd)
     return worst, worst_at
+
+
+def mixture_moments(params):
+    """(weights, means, variances) of a mapping's mixture parameters, in
+    float64: the softmax of ``mix_logits``, ``gmm_means``, and the exp of the
+    clamped ``gmm_logvars``."""
+    mix = np.asarray(params["mix_logits"], dtype=np.float64)
+    weights = np.exp(mix - mix.max())
+    logvars = np.clip(np.asarray(params["gmm_logvars"], dtype=np.float64), LOGVAR_MIN, LOGVAR_MAX)
+    return weights / weights.sum(), np.asarray(params["gmm_means"], dtype=np.float64), np.exp(logvars)
+
+
+def mixture_params(weights, means, variances):
+    """Mixture parameters with the given weights, means and variances."""
+    return {"mix_logits": np.log(weights), "gmm_means": np.asarray(means), "gmm_logvars": np.log(variances)}
 
 
 def gamma_direct(z, weights, means, variances, floor=1e-10):

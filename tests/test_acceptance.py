@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mvclust import (
-    GmmPrior,
     Model,
     ModelConfig,
     ParamStore,
@@ -38,6 +37,7 @@ from helpers import (
     brute_force_accuracy,
     fd_gradient_errors,
     gamma_direct,
+    mixture_moments,
     random_views,
     randomized_model,
     tiny_config,
@@ -94,20 +94,20 @@ def test_criterion_2_elbo_term_quadrature():
     mu_t = float(mu[0, 0])
     var_t = float(np.exp(logvar[0, 0]))
     z = mu_t + math.sqrt(var_t) * eps_value
-    prior = model.prior()
-    gamma = gamma_direct(np.array([z]), prior.weights, prior.means, prior.variances)
+    weights, means, variances = mixture_moments(model.params)
+    gamma = gamma_direct(np.array([z]), weights, means, variances)
 
     grid = np.linspace(-10.0, 10.0, 400_001)
     q = np.exp(-0.5 * (grid - mu_t) ** 2 / var_t) / np.sqrt(2 * np.pi * var_t)
     weighted_log_prior = np.zeros_like(grid)
     for c in range(2):
         log_n = (
-            -0.5 * math.log(2 * np.pi * prior.variances[c, 0])
-            - 0.5 * (grid - prior.means[c, 0]) ** 2 / prior.variances[c, 0]
+            -0.5 * math.log(2 * np.pi * variances[c, 0])
+            - 0.5 * (grid - means[c, 0]) ** 2 / variances[c, 0]
         )
         weighted_log_prior += gamma[c] * log_n
     expected = np.trapezoid(q * weighted_log_prior, grid)
-    expected += float(np.sum(gamma * np.log(prior.weights / gamma)))
+    expected += float(np.sum(gamma * np.log(weights / gamma)))
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(q > 0, q * np.log(q), 0.0)
     expected -= np.trapezoid(integrand, grid)
@@ -123,14 +123,13 @@ def test_criterion_3_responsibility_oracle():
     for _ in range(1000):
         k = int(rng.integers(1, 7))
         j = int(rng.integers(1, 5))
-        prior = GmmPrior(
-            softmax(rng.standard_normal(k)),
-            rng.uniform(-3.0, 3.0, (k, j)),
-            rng.uniform(0.1, 3.0, (k, j)),
-        )
+        weights = softmax(rng.standard_normal(k))
+        means = rng.uniform(-3.0, 3.0, (k, j))
+        variances = rng.uniform(0.1, 3.0, (k, j))
         z = rng.normal(0.0, 2.0, j)
-        got = responsibilities(z, prior)
-        want = gamma_direct(z, prior.weights, prior.means, prior.variances)
+        mixture = {"mix_logits": np.log(weights), "gmm_means": means, "gmm_logvars": np.log(variances)}
+        got = responsibilities(z, mixture)
+        want = gamma_direct(z, weights, means, variances)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-12
     _report(3, "responsibility oracle", f"worst abs diff {worst:.2e} over 1000 instances")
@@ -255,12 +254,12 @@ def test_criterion_7_invariant_suites():
     for _ in range(200):
         k = int(rng.integers(1, 8))
         j = int(rng.integers(1, 5))
-        prior = GmmPrior(
-            softmax(rng.standard_normal(k)),
-            rng.uniform(-4.0, 4.0, (k, j)),
-            rng.uniform(0.05, 4.0, (k, j)),
-        )
-        gamma = responsibilities(rng.normal(0.0, 3.0, (9, j)), prior)
+        mixture = {
+            "mix_logits": np.log(softmax(rng.standard_normal(k))),
+            "gmm_means": rng.uniform(-4.0, 4.0, (k, j)),
+            "gmm_logvars": np.log(rng.uniform(0.05, 4.0, (k, j))),
+        }
+        gamma = responsibilities(rng.normal(0.0, 3.0, (9, j)), mixture)
         assert np.abs(gamma.sum(axis=1) - 1.0).max() < 1e-10
 
     # seed determinism of full training runs

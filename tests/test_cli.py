@@ -425,6 +425,16 @@ def test_eval_rejects_a_negative_label(tmp_path, capsys):
     assert "pred.txt row 1: label -1 out of range" in err
 
 
+@pytest.mark.parametrize("which", ["pred", "truth"])
+@pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-three"])
+def test_eval_rejects_a_label_not_in_ascii_digits(tmp_path, capsys, which, token):
+    files = {"pred": tmp_path / "pred.txt", "truth": tmp_path / "truth.txt"}
+    for name, path in files.items():
+        path.write_text(f"0\n{token}\n" if name == which else "0\n1\n")
+    assert main(["eval", "--pred", str(files["pred"]), "--truth", str(files["truth"])]) == 2
+    assert f"{which}.txt row 1: {token!r} is not an integer" in capsys.readouterr().err
+
+
 def test_eval_count_mismatch(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("0\n1\n")
@@ -472,6 +482,15 @@ def test_generate_seed_deterministic(workspace, tmp_path):
             "--count", "3", "--seed", "4", "--out", str(d),
         ]) == 0
     assert (dirs[0] / "view0.csv").read_bytes() == (dirs[1] / "view0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "beyond-64-bits"])
+def test_generate_rejects_a_seed_outside_64_bits(workspace, tmp_path, capsys, seed):
+    out = tmp_path / "gen"
+    argv = ["generate", "--model", str(workspace["model"]), "--cluster", "0", "--count", "2", "--seed", seed]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_manifest_loads_back(workspace):
@@ -576,11 +595,14 @@ _BAD_FIELDS = {
     "config-lr-decay": ("config", lambda d: d.update(lr_decay=0.9), "lr_decay"),
     "config-decay-every": ("config", lambda d: d.update(decay_every=10), "decay_every"),
     "config-likelihood": ("config", lambda d: d.update(likelihood="gaussian"), "likelihood"),
+    "config-seed-beyond-64-bits": ("config", lambda d: d.update(seed=2**64), "seed"),
     "synth-unknown-field": ("synth", lambda d: d.update(depth=3), "depth"),
     "synth-unsettable-parameter": ("synth", lambda d: d.update(return_latent=True), "return_latent"),
     "synth-missing-field": ("synth", lambda d: d.pop("seed"), "seed"),
     "synth-float-count-and-string-seed": ("synth", lambda d: d.update(n=7.9, seed="3"), "n"),
     "synth-string-seed": ("synth", lambda d: d.update(seed="3"), "seed"),
+    "synth-negative-seed": ("synth", lambda d: d.update(seed=-1), "seed"),
+    "synth-seed-beyond-64-bits": ("synth", lambda d: d.update(seed=2**64), "seed"),
     "synth-nan-separation": ("synth", lambda d: d.update(separation=float("nan")), "separation"),
     "synth-zero-view-dim": ("synth", lambda d: d.update(view_dims=[3, 0]), "view_dims"),
     "synth-negative-noise": ("synth", lambda d: d.update(noise=-0.1), "noise"),

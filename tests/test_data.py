@@ -19,6 +19,7 @@ from mvclust import (
     synth_generate,
 )
 from mvclust.data import MultiViewDataset, save_matrix
+from mvclust.seeding import rng_for
 
 
 def _write_dataset(tmp_path, matrices, labels=None, n=None, likelihood="gaussian"):
@@ -66,7 +67,8 @@ def test_row_count_mismatch_names_file(tmp_path):
 def test_unparsable_cell_names_row_and_column(tmp_path):
     path = _write_dataset(tmp_path, [np.zeros((2, 2))])
     # numpy parses nan and inf; a view holding one is rejected all the same
-    for cell in ("oops", "nan", "inf", "-inf"):
+    # "1_0" and "١" (Arabic-Indic one) pass Python's float() but not the reader
+    for cell in ("oops", "nan", "inf", "-inf", "1_0", "\u0661"):
         (tmp_path / "v0.csv").write_text(f"0.0,1.0\n0.5,{cell}\n")
         with pytest.raises(LoadError, match=r"row 1 column 1") as caught:
             load_dataset(path)
@@ -77,6 +79,16 @@ def test_negative_label_rejected(tmp_path):
     path = _write_dataset(tmp_path, [np.zeros((2, 2))], labels=[0, -1])
     with pytest.raises(LoadError, match="out of range"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-three"])
+def test_label_not_in_ascii_digits_rejected(tmp_path, token):
+    # int() reads both: "1_0" as 10, "\u0663" as 3
+    path = _write_dataset(tmp_path, [np.zeros((2, 2))], labels=[0, 1])
+    (tmp_path / "labels.txt").write_text(f"0\n{token}\n")
+    with pytest.raises(LoadError) as caught:
+        load_dataset(path)
+    assert f"labels file {tmp_path / 'labels.txt'} row 1: {token!r} is not an integer" in str(caught.value)
 
 
 def test_missing_manifest_field(tmp_path):
@@ -152,6 +164,15 @@ def test_batch_iter_partitions_everything(n, batch_size, seed, epoch):
     flat = np.concatenate(batches)
     assert sorted(flat) == list(range(n))
     assert all(len(b) == batch_size for b in batches[:-1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "beyond-64-bits"])
+def test_a_seed_outside_64_bits_is_rejected_not_aliased(seed):
+    # masked to 64 bits, -1 would draw seed 2**64 - 1's stream and 2**64 seed 0's
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        rng_for(seed, "synth")
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        synth_generate(2, 2, 10, 2, separation=3.0, view_dims=(3, 3), seed=seed)
 
 
 def test_synth_zero_separation_means_coincide():

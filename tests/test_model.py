@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mvclust import (
-    GmmPrior,
     Model,
     ModelConfig,
     ParamStore,
@@ -26,7 +25,7 @@ from mvclust import (
 from mvclust.data import MultiViewDataset, normalize
 from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, softmax
 
-from helpers import gamma_direct, random_views, randomized_model, tiny_config
+from helpers import gamma_direct, mixture_moments, mixture_params, random_views, randomized_model, tiny_config
 
 
 def zero_model(config):
@@ -256,38 +255,35 @@ def test_decode_gaussian_logvar_clamped():
 
 
 @pytest.mark.parametrize(
-    "weights, means, variances, message",
+    "logits, means, logvars",
     [
-        ([0.5, 0.5], np.zeros((2, 2)), np.ones((2, 3)), "means and variances must both be"),
-        ([0.5, 0.5], np.zeros(2), np.ones(2), "means and variances must both be"),
-        ([1.0], np.zeros((2, 2)), np.ones((2, 2)), "weights length must match"),
-        ([0.5, 0.6], np.zeros((2, 2)), np.ones((2, 2)), "positive and sum to 1"),
-        ([1.0, 0.0], np.zeros((2, 2)), np.ones((2, 2)), "positive and sum to 1"),
-        ([0.5, 0.5], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 0.0]], "variances must be positive"),
+        (np.zeros(2), np.zeros((2, 2)), np.zeros((2, 3))),
+        (np.zeros(2), np.zeros(2), np.zeros(2)),
+        (np.zeros(1), np.zeros((2, 2)), np.zeros((2, 2))),
     ],
-    ids=["shapes-differ", "means-not-2d", "weights-length", "weights-sum", "weight-zero", "variance-zero"],
+    ids=["shapes-differ", "means-not-2d", "weights-length"],
 )
-def test_gmm_prior_rejects_an_invalid_mixture(weights, means, variances, message):
-    with pytest.raises(ValueError, match=message):
-        GmmPrior(np.array(weights), means, variances)
+def test_responsibilities_reject_a_mixture_of_mismatched_shapes(logits, means, logvars):
+    # one logit for two components would broadcast to a uniform mixture unnoticed
+    mixture = {"mix_logits": logits, "gmm_means": means, "gmm_logvars": logvars}
+    with pytest.raises(ValueError, match=r"must be \(K,\), \(K, J\), \(K, J\)"):
+        responsibilities(np.zeros((3, 2)), mixture)
 
 
 def test_responsibilities_single_component():
-    prior = GmmPrior(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
-    assert np.array_equal(responsibilities(np.zeros(2), prior), [1.0])
+    mixture = mixture_params(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
+    assert np.array_equal(responsibilities(np.zeros(2), mixture), [1.0])
 
 
 def test_responsibilities_symmetric_split():
-    prior = GmmPrior(
-        np.array([0.5, 0.5]), np.array([[1.0, -2.0], [-1.0, 2.0]]), np.ones((2, 2))
-    )
-    gamma = responsibilities(np.zeros(2), prior)
+    mixture = mixture_params(np.array([0.5, 0.5]), np.array([[1.0, -2.0], [-1.0, 2.0]]), np.ones((2, 2)))
+    gamma = responsibilities(np.zeros(2), mixture)
     assert gamma == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_responsibilities_density_ratio_instance():
-    prior = GmmPrior(np.array([0.3, 0.7]), np.array([[0.0], [1.0]]), np.ones((2, 1)))
-    gamma = responsibilities(np.array([0.5]), prior)
+    mixture = mixture_params(np.array([0.3, 0.7]), np.array([[0.0], [1.0]]), np.ones((2, 1)))
+    gamma = responsibilities(np.array([0.5]), mixture)
     d0 = 0.3 * math.exp(-0.125)
     d1 = 0.7 * math.exp(-0.125)
     assert gamma == pytest.approx([d0 / (d0 + d1), d1 / (d0 + d1)], abs=1e-14)
@@ -295,24 +291,60 @@ def test_responsibilities_density_ratio_instance():
 
 def test_responsibilities_sum_to_one():
     rng = np.random.default_rng(4)
-    prior = GmmPrior(
+    mixture = mixture_params(
         softmax(rng.standard_normal(5)),
         rng.uniform(-3, 3, (5, 3)),
         rng.uniform(0.1, 3.0, (5, 3)),
     )
-    gamma = responsibilities(rng.standard_normal((50, 3)), prior)
+    gamma = responsibilities(rng.standard_normal((50, 3)), mixture)
     assert np.abs(gamma.sum(axis=1) - 1.0).max() < 1e-10
     assert np.all(gamma >= 0.0)
+
+
+def test_responsibilities_match_the_direct_form_on_raw_parameters():
+    # logits far from uniform, log-variances beyond both clamps
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(200):
+        k = int(rng.integers(2, 7))
+        j = int(rng.integers(1, 5))
+        mixture = {
+            "mix_logits": rng.uniform(-12.0, 12.0, k),
+            "gmm_means": rng.uniform(-3.0, 3.0, (k, j)),
+            "gmm_logvars": rng.uniform(-25.0, 25.0, (k, j)),
+        }
+        z = rng.normal(0.0, 2.0, (6, j))
+        mix = mixture["mix_logits"]
+        log_pi = mix - (mix.max() + np.log(np.exp(mix - mix.max()).sum()))
+        logvars = np.clip(mixture["gmm_logvars"], LOGVAR_MIN, LOGVAR_MAX)
+        diff = z[:, None, :] - mixture["gmm_means"][None, :, :]
+        log_n = -0.5 * (j * LOG_2PI + logvars.sum(axis=1) + (diff**2 / np.exp(logvars)).sum(axis=2))
+        joint = log_n + log_pi
+        top = joint.max(axis=1, keepdims=True)
+        want = np.exp(joint - (top + np.log(np.exp(joint - top).sum(axis=1, keepdims=True))))
+        want = np.clip(want, 1e-10, 1.0)
+        want /= want.sum(axis=1, keepdims=True)
+        worst = max(worst, float(np.abs(responsibilities(z, mixture) - want).max()))
+    assert worst < 1e-12
+
+
+def test_responsibilities_read_a_float32_store_in_float64():
+    model = randomized_model(tiny_config("gaussian"), seed=44)
+    store32 = model.params.clone(np.float32)
+    z = np.random.default_rng(45).standard_normal((5, 2))
+    gamma = responsibilities(z, store32)
+    assert gamma.dtype == np.float64
+    assert np.array_equal(gamma, responsibilities(z, {n: store32[n].astype(np.float64) for n in store32.names()}))
 
 
 def test_mix_logit_shift_leaves_gamma_and_elbo_unchanged():
     model = randomized_model(tiny_config("bernoulli"), seed=6)
     views = random_views(model.config, 5, seed=7)
     eps = np.random.default_rng(8).standard_normal((1, 5, 2))
-    base_gamma = responsibilities(np.zeros((3, 2)), model.prior())
+    base_gamma = responsibilities(np.zeros((3, 2)), model.params)
     base_elbo = float(elbo_terms(model, views, eps)["elbo"])
     model.params.set_value("mix_logits", model.params["mix_logits"] + 7.5)
-    assert responsibilities(np.zeros((3, 2)), model.prior()) == pytest.approx(base_gamma, abs=1e-12)
+    assert responsibilities(np.zeros((3, 2)), model.params) == pytest.approx(base_gamma, abs=1e-12)
     assert float(elbo_terms(model, views, eps)["elbo"]) == pytest.approx(base_elbo, abs=1e-10)
 
 
@@ -345,9 +377,9 @@ def test_assign_matches_composed_oracles():
         mu, logvar = encode_view(model, v, views[v])
         stats.append((mu, np.exp(logvar)))
     post = fuse_posteriors(stats, model.params["fusion_logits"])
-    prior = model.prior()
+    weights, means, variances = mixture_moments(model.params)
     expected = [
-        int(np.argmax(gamma_direct(z, prior.weights, prior.means, prior.variances)))
+        int(np.argmax(gamma_direct(z, weights, means, variances)))
         for z in post.mean
     ]
     assert np.array_equal(labels, expected)
@@ -472,20 +504,20 @@ def test_elbo_nonrecon_terms_match_quadrature():
     mu_t = float(mu[0, 0])
     var_t = float(np.exp(logvar[0, 0]))
     z = mu_t + math.sqrt(var_t) * 0.37
-    prior = model.prior()
-    gamma = gamma_direct(np.array([z]), prior.weights, prior.means, prior.variances)
+    weights, means, variances = mixture_moments(model.params)
+    gamma = gamma_direct(np.array([z]), weights, means, variances)
 
     grid = np.linspace(-10.0, 10.0, 200_001)
     q = np.exp(-0.5 * (grid - mu_t) ** 2 / var_t) / np.sqrt(2 * np.pi * var_t)
     log_p_mix = np.zeros_like(grid)
     for c in range(2):
         log_n = (
-            -0.5 * math.log(2 * np.pi * prior.variances[c, 0])
-            - 0.5 * (grid - prior.means[c, 0]) ** 2 / prior.variances[c, 0]
+            -0.5 * math.log(2 * np.pi * variances[c, 0])
+            - 0.5 * (grid - means[c, 0]) ** 2 / variances[c, 0]
         )
         log_p_mix += gamma[c] * log_n
     t1 = np.trapezoid(q * log_p_mix, grid)
-    t2 = float(np.sum(gamma * np.log(prior.weights / gamma)))
+    t2 = float(np.sum(gamma * np.log(weights / gamma)))
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(q > 0, q * np.log(q), 0.0)
     t3 = -np.trapezoid(integrand, grid)
@@ -553,8 +585,8 @@ def _numpy_elbo_terms(model, views, eps):
     mu_t = sum(w[v] * stats[v][0] for v in range(cfg.n_views))
     var_t = sum(w[v] * np.exp(stats[v][1]) for v in range(cfg.n_views))
     z = mu_t + np.sqrt(var_t) * eps[0]
-    prior = model.prior()
-    gamma = np.stack([gamma_direct(row, prior.weights, prior.means, prior.variances) for row in z])
+    weights, means, variances = mixture_moments(model.params)
+    gamma = np.stack([gamma_direct(row, weights, means, variances) for row in z])
 
     recon = np.zeros(z.shape[0])
     for v in range(cfg.n_views):
@@ -567,14 +599,14 @@ def _numpy_elbo_terms(model, views, eps):
                 -0.5 * LOG_2PI - 0.5 * logvar_x - 0.5 * (views[v] - mu_x) ** 2 / np.exp(logvar_x)
             ).sum(axis=1)
 
-    logvar_c = np.log(prior.variances)
+    logvar_c = np.log(variances)
     inner = (
         logvar_c[None, :, :]
-        + var_t[:, None, :] / prior.variances[None, :, :]
-        + (mu_t[:, None, :] - prior.means[None, :, :]) ** 2 / prior.variances[None, :, :]
+        + var_t[:, None, :] / variances[None, :, :]
+        + (mu_t[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
     ).sum(axis=2)
     gauss_kl = -0.5 * (gamma * inner).sum(axis=1)
-    cat_kl = (gamma * (np.log(prior.weights)[None, :] - np.log(gamma))).sum(axis=1)
+    cat_kl = (gamma * (np.log(weights)[None, :] - np.log(gamma))).sum(axis=1)
     entropy = 0.5 * (1.0 + np.log(var_t)).sum(axis=1)
     return recon, gauss_kl, cat_kl, entropy
 
@@ -658,9 +690,8 @@ def test_elbo_multi_sample_averages_branches():
 def test_generate_zero_noise_decodes_component_mean():
     config = tiny_config("bernoulli")
     model = randomized_model(config, seed=26)
-    prior = model.prior()
     out = generate(model, 0, 1, np.zeros(2))
-    expected = decode(model, 0, prior.means[1][None, :])[0]
+    expected = decode(model, 0, model.params["gmm_means"][1][None, :])[0]
     assert np.array_equal(out, expected)
 
 

@@ -28,7 +28,7 @@ from mvclust import metrics as metrics_mod
 from mvclust.model import softmax
 from mvclust.training import DECAY_EVERY, LR_DECAY, TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
 
-from helpers import tiny_config
+from helpers import mixture_moments, tiny_config
 
 
 def small_config(**overrides):
@@ -86,6 +86,12 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+def test_config_rejects_a_seed_beyond_64_bits():
+    assert TrainConfig(n_clusters=2, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"):
+        TrainConfig(n_clusters=2, seed=2**64)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -325,9 +331,9 @@ def test_init_gmm_on_identical_samples_hits_variance_floor():
     mcfg = ModelConfig((3,), 2, 2, "gaussian", (4,), (4,))
     model = Model.initialize(mcfg, seed=0)
     init_gmm(model, dataset, seed=0)
-    prior = model.prior()
-    assert np.allclose(prior.means[0], prior.means[1])
-    assert np.all(prior.variances == pytest.approx(1e-4))
+    _, means, variances = mixture_moments(model.params)
+    assert np.allclose(means[0], means[1])
+    assert np.all(variances == pytest.approx(1e-4))
 
 
 def test_init_gmm_uniform_mixture_and_fusion():
@@ -335,7 +341,7 @@ def test_init_gmm_uniform_mixture_and_fusion():
     mcfg = ModelConfig(dataset.dims, 2, 3, "gaussian", (8, 6), (6, 8))
     model = Model.initialize(mcfg, seed=2)
     init_gmm(model, dataset, seed=2)
-    assert model.prior().weights == pytest.approx(np.full(3, 1 / 3))
+    assert mixture_moments(model.params)[0] == pytest.approx(np.full(3, 1 / 3))
     assert softmax(model.params["fusion_logits"]) == pytest.approx(np.full(2, 0.5))
 
 
@@ -352,10 +358,9 @@ def test_init_gmm_recovers_separated_embedding_centroids():
     from mvclust import fused_posterior
 
     emb = fused_posterior(model, dataset.matrices).mean
-    prior = model.prior()
     for c in range(3):
         truth = emb[dataset.labels == c].mean(axis=0)
-        best = min(np.linalg.norm(prior.means[k] - truth) for k in range(3))
+        best = min(np.linalg.norm(model.params["gmm_means"][k] - truth) for k in range(3))
         assert best < 0.1
 
 
