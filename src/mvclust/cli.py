@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, FileExistsError, NotADirectoryError, ValueError) as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
         return _fail(str(exc), 2)
     except NumericError as exc:
         return _fail(str(exc), 1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import string
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,28 +115,36 @@ class MultiViewDataset:
         return tuple(mat.shape[1] for mat in self.matrices)
 
 
-def _finite_cells(text: str, count=None) -> bool:
-    """Whether the matrix reader's own rule (``np.loadtxt``) reads ``text``
-    as finite numbers only, exactly ``count`` of them when it is given; a
-    blank line reads as none."""
+def _finite_cells(text: str):
+    """How many finite numbers the matrix reader's own rule (``np.loadtxt``)
+    reads in ``text``, None when it reads anything else; a blank line holds
+    none."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             values = np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=1)
     except ValueError:
-        return False
-    return bool(np.isfinite(values).all()) and count in (None, values.size)
+        return None
+    return values.size if np.isfinite(values).all() else None
 
 
-def _find_bad_cell(path: Path):
-    """(row, column, text) of the first cell that is not a finite number."""
+def _find_bad_row(path: Path):
+    """What is wrong with the first row the matrix reader refuses, in the
+    program's words: a cell that is not a finite number, or a row whose cell
+    count is not the first row's. Rows are the file's lines, counted from 0;
+    a blank line, which the reader skips, is compared with none."""
+    first = None
     with open(path) as handle:
         for row, line in enumerate(handle):
-            if _finite_cells(line):
-                continue
-            for col, cell in enumerate(line.rstrip("\n").split(",")):
-                if not _finite_cells(cell, 1):
-                    return row, col, cell
+            count = _finite_cells(line)
+            if count is None:
+                for col, cell in enumerate(line.rstrip("\n").split(",")):
+                    if _finite_cells(cell) != 1:
+                        return f"cell {cell!r} at {path} row {row} column {col} is not a finite number"
+            elif count and first is None:
+                first = row, count
+            elif count and count != first[1]:
+                return f"{path} row {row} has {count} cells, row {first[0]} has {first[1]}"
     return None
 
 
@@ -150,11 +159,8 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     except ValueError as exc:
         error = exc
     if error is not None:
-        bad = _find_bad_cell(path)
-        if bad is None:
-            raise LoadError(f"view {view_name!r}: malformed CSV {path}: {error}")
-        row, col, cell = bad
-        raise LoadError(f"view {view_name!r}: cell {cell!r} at {path} row {row} column {col} is not a finite number")
+        problem = _find_bad_row(path) or f"malformed CSV {path}: {error}"
+        raise LoadError(f"view {view_name!r}: {problem}")
     if mat.shape != (n, dim):
         raise LoadError(f"view {view_name!r}: {path} has shape {mat.shape}, manifest declares ({n}, {dim})")
     return np.ascontiguousarray(mat)
@@ -165,10 +171,13 @@ def load_labels(path, n) -> np.ndarray:
     ``n`` not None the file must hold exactly ``n`` of them. A ``LoadError``
     names the file."""
     try:
-        text = Path(path).read_text()
+        with open(path, newline="") as handle:
+            text = handle.read()
     except OSError as exc:
         raise LoadError(f"cannot read labels file {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    # lines end at "\n" only and lose only ASCII whitespace (a "\r\n" end
+    # too): str.splitlines also splits at U+2028, str.strip also trims U+00A0
+    lines = [ln.strip(string.whitespace) for ln in text.split("\n") if ln.strip(string.whitespace)]
     if not lines:
         raise LoadError(f"labels file {path} is empty")
     if n is not None and len(lines) != n:

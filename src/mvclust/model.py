@@ -1,11 +1,11 @@
 """Shared-latent multi-view VAE with a Gaussian-mixture prior.
 
 Each view v has its own encoder producing a Gaussian posterior
-(mu_v, sigma_v^2) over the shared latent z; the per-view posteriors are
-fused by simplex weights w (softmax of free logits) into
+(mu_v, log sigma_v^2) over the shared latent z; the per-view posteriors are
+fused by simplex weights w = exp(f - logsumexp f) of free logits f into
 
     mu    = sum_v w_v * mu_v
-    sigma2 = sum_v w_v * sigma_v^2
+    sigma2 = sum_v w_v * exp(log sigma_v^2)
 
 The latent prior is a K-component diagonal-Gaussian mixture, and each view
 has its own decoder (Bernoulli or Gaussian likelihood). Training maximizes
@@ -14,11 +14,11 @@ reconstruction, a responsibility-weighted Gaussian cross term, a
 categorical term sum_c gamma_c * log(pi_c / gamma_c), and the posterior
 entropy term 0.5 * sum_j (1 + log sigma2_j).
 
-Fusion, the mixture (log pi, means, clamped log-variances) and the
-responsibilities gamma are defined once, by the node builders
-``fusion_nodes``, ``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph
-calls them, and ``fuse_posteriors`` and ``responsibilities`` forward small
-graphs of them.
+Fusion (the view weights, each exp(log sigma_v^2) and their combination),
+the mixture (log pi, means, clamped log-variances) and the responsibilities
+gamma are defined once, by the node builders ``fusion_nodes``,
+``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
+``fuse_posteriors`` and ``responsibilities`` forward small graphs of them.
 """
 
 from __future__ import annotations
@@ -91,12 +91,6 @@ class LatentPosterior:
 
     mean: np.ndarray
     var: np.ndarray
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    x = as_tensor(x)
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
 
 
 # -- parameter naming ---------------------------------------------------------
@@ -199,15 +193,19 @@ def build_decoder_graph(config: ModelConfig, view: int) -> Graph:
     return g
 
 
-def fusion_nodes(g: Graph, per_view, w: str) -> tuple[str, str]:
-    """Convex combination of per-view (mean, variance) node pairs under the
-    (m,) weight node ``w``; returns the fused (mean, variance)."""
+def fusion_nodes(g: Graph, per_view) -> tuple[str, str]:
+    """Declare ``fusion_logits`` f and fuse the per-view (mean, clamped
+    log-variance) node pairs under the view weights w = exp(f - logsumexp f);
+    returns the fused (mean, variance), sum_v w_v * (mu_v, exp(logvar_v))."""
+    fusion = g.param("fusion_logits")
+    w = g.exp(g.sub(fusion, g.logsumexp(fusion)))  # (m,)
+    variances = [g.exp(logvar_v) for _, logvar_v in per_view]
     mu_t = None
     var_t = None
-    for v, (mu_v, var_v) in enumerate(per_view):
+    for v, (mu_v, _) in enumerate(per_view):
         w_v = g.slice(w, axis=0, start=v, stop=v + 1)  # (1,)
         mu_term = g.mul(mu_v, w_v)
-        var_term = g.mul(var_v, w_v)
+        var_term = g.mul(variances[v], w_v)
         mu_t = mu_term if mu_t is None else g.add(mu_t, mu_term)
         var_t = var_term if var_t is None else g.add(var_t, var_term)
     return mu_t, var_t
@@ -258,11 +256,7 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
     xs = [g.input(f"x{v}") for v in range(m)]
     eps = [g.input(f"eps{l}") for l in range(n_samples)]
 
-    per_view = [encoder_nodes(g, config, v, xs[v]) for v in range(m)]
-
-    fusion = g.param("fusion_logits")
-    w = g.exp(g.sub(fusion, g.logsumexp(fusion)))  # (m,)
-    mu_t, var_t = fusion_nodes(g, [(mu_v, g.exp(logvar_v)) for mu_v, logvar_v in per_view], w)
+    mu_t, var_t = fusion_nodes(g, [encoder_nodes(g, config, v, xs[v]) for v in range(m)])
     sigma_t = g.sqrt(var_t)
 
     log_pi, means, logvars = mixture_nodes(g)
@@ -418,26 +412,23 @@ def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
     g = Graph()
-    per_view = [(g.input(f"mu{v}"), g.input(f"var{v}")) for v in range(n_views)]
-    return g, *fusion_nodes(g, per_view, g.input("w"))
+    return g, *fusion_nodes(g, [(g.input(f"mu{v}"), g.input(f"logvar{v}")) for v in range(n_views)])
 
 
 def fuse_posteriors(per_view, logits) -> LatentPosterior:
-    """Convex combination of per-view (mean, variance) pairs, all of view 0's
-    mean shape, under the view weights ``softmax(logits)``."""
-    w = softmax(logits)
-    if len(per_view) != w.shape[0]:
-        raise ValueError(f"expected {w.shape[0]} views, got {len(per_view)} (all views are required)")
-    inputs = {"w": w}
+    """Fuse per-view (mean, log-variance) pairs, as ``encode_view`` returns
+    them, all of view 0's mean shape, under the view weights of the fusion
+    ``logits``; the ELBO graph's own ``fusion_nodes`` do the arithmetic."""
+    if len(per_view) != len(logits):
+        raise ValueError(f"expected {len(logits)} views, got {len(per_view)} (all views are required)")
+    inputs = {}
     shape = np.shape(per_view[0][0])
-    for v, (mu_v, var_v) in enumerate(per_view):
-        inputs[f"mu{v}"], inputs[f"var{v}"] = mu_v, as_tensor(var_v)
-        if not np.shape(mu_v) == inputs[f"var{v}"].shape == shape:
-            raise ValueError(f"view {v} mean and variance must both have view 0's mean shape {shape}")
-        if np.any(inputs[f"var{v}"] <= 0):
-            raise ValueError(f"view {v} variances must be positive")
+    for v, (mu_v, logvar_v) in enumerate(per_view):
+        if not np.shape(mu_v) == np.shape(logvar_v) == shape:
+            raise ValueError(f"view {v} mean and log-variance must both have view 0's mean shape {shape}")
+        inputs[f"mu{v}"], inputs[f"logvar{v}"] = mu_v, logvar_v
     g, mu, var = _fusion_graph(len(per_view))
-    values = forward(g, inputs)
+    values = forward(g, inputs, {"fusion_logits": logits})
     return LatentPosterior(values[mu], values[var])
 
 
@@ -483,11 +474,8 @@ def fused_posterior(model: Model, views) -> LatentPosterior:
     variances = np.empty((n, model.config.latent_dim))
     for start in range(0, n, _INFER_CHUNK):
         sl = slice(start, min(n, start + _INFER_CHUNK))
-        stats = []
-        for v in range(m):
-            mu, logvar = encode_view(model, v, mats[v][sl])
-            stats.append((mu, np.exp(logvar)))
-        post = fuse_posteriors(stats, model.params["fusion_logits"])
+        per_view = [encode_view(model, v, mats[v][sl]) for v in range(m)]
+        post = fuse_posteriors(per_view, model.params["fusion_logits"])
         means[sl] = post.mean
         variances[sl] = post.var
     return LatentPosterior(means, variances)

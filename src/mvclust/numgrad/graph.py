@@ -103,14 +103,11 @@ class Graph:
 
     # -- primitives ------------------------------------------------------
 
-    def matmul(self, a, b, name=None):
-        return self._emit("matmul", (a, b), name)
-
     def linear(self, x, w, b, relu=False, name=None):
-        """Dense layer ``x @ w + b``, followed by ReLU when ``relu`` is set.
-
-        Bit-identical to ``matmul -> add -> relu`` in one node: the bias and
-        the ReLU are applied in place on the fresh product.
+        """Dense layer ``x @ w + b`` of a 2-D ``x`` and ``w`` and a 1-D ``b``,
+        followed by ReLU when ``relu`` is set: the graph's one dense
+        primitive. The bias and the ReLU are applied in place on the fresh
+        product.
         """
         return self._emit("linear", (x, w, b), name, relu=bool(relu))
 
@@ -129,9 +126,6 @@ class Graph:
     def affine(self, x, scale=1.0, shift=0.0, name=None):
         """Elementwise scale * x + shift with float constants."""
         return self._emit("affine", (x,), name, scale=float(scale), shift=float(shift))
-
-    def relu(self, x, name=None):
-        return self._emit("relu", (x,), name)
 
     def sigmoid(self, x, name=None):
         return self._emit("sigmoid", (x,), name)
@@ -265,18 +259,13 @@ def _expand_reduced(g, x_shape, axis, keepdims):
     return np.broadcast_to(g, x_shape)
 
 
-def _eval_matmul(node, args):
-    a, b = args
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _eval_linear(node, args):
     x, w, b = args
-    out = _eval_matmul(node, (x, w))
+    if x.ndim != 2 or w.ndim != 2:
+        raise ValueError(f"linear needs 2-D operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear inner dimensions differ: {x.shape} @ {w.shape}")
+    out = x @ w
     if b.shape != (w.shape[1],):
         raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
     out += b
@@ -343,14 +332,12 @@ def _eval_slice(node, args):
 
 
 _EVAL = {
-    "matmul": _eval_matmul,
     "linear": _eval_linear,
     "add": lambda n, a: a[0] + a[1],
     "sub": lambda n, a: a[0] - a[1],
     "mul": lambda n, a: a[0] * a[1],
     "div": lambda n, a: a[0] / a[1],
     "affine": lambda n, a: n.attrs["scale"] * a[0] + n.attrs["shift"],
-    "relu": lambda n, a: np.maximum(a[0], 0.0),
     "sigmoid": lambda n, a: _sigmoid(a[0]),
     "softplus": lambda n, a: _softplus(a[0]),
     "exp": lambda n, a: np.exp(a[0]),
@@ -364,11 +351,6 @@ _EVAL = {
     "slice": _eval_slice,
     "expand_dims": lambda n, a: np.expand_dims(a[0], n.attrs["axis"]),
 }
-
-
-def _grad_matmul(node, args, out, g):
-    a, b = args
-    return [(node.inputs[0], g @ b.T), (node.inputs[1], a.T @ g)]
 
 
 def _grad_linear(node, args, out, g):
@@ -428,14 +410,12 @@ def _grad_slice(node, args, out, g):
 
 
 _GRAD = {
-    "matmul": _grad_matmul,
     "linear": _grad_linear,
     "add": _grad_add,
     "sub": _grad_sub,
     "mul": _grad_mul,
     "div": _grad_div,
     "affine": lambda n, a, o, g: [(n.inputs[0], g * n.attrs["scale"])],
-    "relu": lambda n, a, o, g: [(n.inputs[0], g * (a[0] > 0))],
     "sigmoid": lambda n, a, o, g: [(n.inputs[0], g * o * (1.0 - o))],
     "softplus": lambda n, a, o, g: [(n.inputs[0], g * _sigmoid(a[0]))],
     "exp": lambda n, a, o, g: [(n.inputs[0], g * o)],

@@ -65,14 +65,19 @@ def fd_gradient_errors(graph, inputs, params, loss="loss", h=1e-5):
     return worst, worst_at
 
 
+def softmax(x):
+    """Simplex weights ``exp(x - max x) / sum``, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def mixture_moments(params):
     """(weights, means, variances) of a mapping's mixture parameters, in
     float64: the softmax of ``mix_logits``, ``gmm_means``, and the exp of the
     clamped ``gmm_logvars``."""
-    mix = np.asarray(params["mix_logits"], dtype=np.float64)
-    weights = np.exp(mix - mix.max())
     logvars = np.clip(np.asarray(params["gmm_logvars"], dtype=np.float64), LOGVAR_MIN, LOGVAR_MAX)
-    return weights / weights.sum(), np.asarray(params["gmm_means"], dtype=np.float64), np.exp(logvars)
+    return softmax(params["mix_logits"]), np.asarray(params["gmm_means"], dtype=np.float64), np.exp(logvars)
 
 
 def mixture_params(weights, means, variances):

@@ -30,7 +30,6 @@ from mvclust import (
     synth_generate,
     train,
 )
-from mvclust.model import softmax
 from mvclust.training import _lloyd, load_checkpoint, save_checkpoint
 
 from helpers import (
@@ -40,6 +39,7 @@ from helpers import (
     mixture_moments,
     random_views,
     randomized_model,
+    softmax,
     tiny_config,
 )
 

@@ -368,6 +368,19 @@ def test_a_write_into_a_missing_directory_exits_2_naming_the_file(workspace, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, name", [("assign", "l.txt"), ("embed", "z.csv")])
+def test_a_write_onto_a_directory_exits_2_leaving_it_as_it_was(workspace, tmp_path, capsys, command, name):
+    out = tmp_path / name
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    argv = [command, "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"Is a directory: {str(out)!r}\n")
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == [out / "kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["train", "generate"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 def test_an_out_directory_that_is_a_file_exits_2_naming_it(workspace, tmp_path, capsys, command, under):
@@ -426,7 +439,10 @@ def test_eval_rejects_a_negative_label(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("which", ["pred", "truth"])
-@pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-three"])
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0663", "\u00a01", "1\u20282"],
+    ids=["underscore", "arabic-indic-three", "no-break-space", "line-separator"],
+)
 def test_eval_rejects_a_label_not_in_ascii_digits(tmp_path, capsys, which, token):
     files = {"pred": tmp_path / "pred.txt", "truth": tmp_path / "truth.txt"}
     for name, path in files.items():

@@ -75,15 +75,36 @@ def test_unparsable_cell_names_row_and_column(tmp_path):
         assert f"view 'v0': cell '{cell}' at {tmp_path / 'v0.csv'} row 1 column 1" in str(caught.value)
 
 
+def test_ragged_csv_names_both_rows_counted_from_0(tmp_path):
+    # the blank line is skipped, as the reader skips it, but keeps its number
+    path = _write_dataset(tmp_path, [np.zeros((2, 2))])
+    for text, row in (("1,2\n3\n", 1), ("1,2\n\n3,4,5\n", 2)):
+        (tmp_path / "v0.csv").write_text(text)
+        with pytest.raises(LoadError) as caught:
+            load_dataset(path)
+        cells = 1 if row == 1 else 3
+        assert str(caught.value) == f"view 'v0': {tmp_path / 'v0.csv'} row {row} has {cells} cells, row 0 has 2"
+
+
+def test_labels_with_crlf_line_ends_read(tmp_path):
+    path = _write_dataset(tmp_path, [np.zeros((3, 2))], labels=[0, 1, 1])
+    (tmp_path / "labels.txt").write_bytes(b"0\r\n1\r\n\r\n1\r\n")
+    assert np.array_equal(load_dataset(path).labels, [0, 1, 1])
+
+
 def test_negative_label_rejected(tmp_path):
     path = _write_dataset(tmp_path, [np.zeros((2, 2))], labels=[0, -1])
     with pytest.raises(LoadError, match="out of range"):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-three"])
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0663", "\u00a01", "1\u20282"],
+    ids=["underscore", "arabic-indic-three", "no-break-space", "line-separator"],
+)
 def test_label_not_in_ascii_digits_rejected(tmp_path, token):
-    # int() reads both: "1_0" as 10, "\u0663" as 3
+    # int() reads the first two: "1_0" as 10, "\u0663" as 3; str.strip would
+    # trim the no-break space and str.splitlines split at the line separator
     path = _write_dataset(tmp_path, [np.zeros((2, 2))], labels=[0, 1])
     (tmp_path / "labels.txt").write_text(f"0\n{token}\n")
     with pytest.raises(LoadError) as caught:

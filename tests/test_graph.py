@@ -16,46 +16,36 @@ def _store(**arrays):
 def test_linear_identity_forward():
     g = Graph()
     x = g.input("x")
-    out = g.add(g.matmul(x, g.param("w")), g.param("b"), name="out")
+    out = g.linear(x, g.param("w"), g.param("b"), name="out")
     store = _store(w=np.eye(3), b=np.zeros(3))
     values = forward(g, {"x": np.array([[1.0, 2.0, 3.0]])}, store)
     assert np.array_equal(values[out], [[1.0, 2.0, 3.0]])
 
 
-def _dense_pair(relu):
-    """The same dense layer as one ``linear`` node and as the reference
-    ``matmul -> add -> relu`` chain, each under a loss whose gradient has
-    both signs; ``x`` is a parameter, so its gradient is stored too."""
-    graphs = []
-    for fused in (True, False):
-        g = Graph()
-        x, w, b = g.param("x"), g.param("w"), g.param("b")
-        if fused:
-            g.linear(x, w, b, relu=relu, name="h")
-        elif relu:
-            g.relu(g.add(g.matmul(x, w), b), name="h")
-        else:
-            g.add(g.matmul(x, w), b, name="h")
-        g.sum(g.mul(g.square("h"), g.input("c")), name="loss")
-        graphs.append(g)
-    return graphs
-
-
 @pytest.mark.parametrize("relu", [True, False])
-def test_linear_equals_matmul_add_relu_chain_bitwise(relu):
+def test_linear_equals_numpy_bitwise(relu):
+    # one dense layer under a loss sum(h^2 * c) whose gradient has both signs;
+    # x is a parameter, so its gradient is stored too
     rng = np.random.default_rng(21)
-    x, inputs = rng.standard_normal((7, 5)), {"c": rng.standard_normal((7, 4))}
+    x, c = rng.standard_normal((7, 5)), rng.standard_normal((7, 4))
     w, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
-    results = []
-    for g in _dense_pair(relu):
-        store = _store(x=x, w=w, b=b)
-        values = forward(g, inputs, store)
-        backward(g, values, "loss", store)
-        results.append((values["h"], values["loss"], *(store.grad(name) for name in ("x", "w", "b"))))
-    fused, chain = results
-    assert relu == bool(np.any(fused[0] == 0.0))  # the mask is exercised
-    for got, want in zip(fused, chain):
-        assert np.array_equal(got, want)
+    g = Graph()
+    g.linear(g.param("x"), g.param("w"), g.param("b"), relu=relu, name="h")
+    g.sum(g.mul(g.square("h"), g.input("c")), name="loss")
+    store = _store(x=x, w=w, b=b)
+    values = forward(g, {"c": c}, store)
+    backward(g, values, "loss", store)
+
+    h = x @ w + b
+    if relu:
+        h = np.maximum(h, 0.0)
+    dh = 2.0 * c * h
+    if relu:
+        dh = dh * (h > 0)
+    assert relu == bool(np.any(h == 0.0))  # the mask is exercised
+    assert np.array_equal(values["h"], h)
+    for name, want in (("x", dh @ w.T), ("w", x.T @ dh), ("b", dh.sum(axis=0))):
+        assert np.array_equal(store.grad(name), want), name
 
 
 def test_linear_finite_differences():
@@ -103,8 +93,8 @@ def test_two_layer_network_hand_evaluation():
     # relu(x @ w1 + b1) @ w2 + b2 evaluated by hand for fixed weights
     g = Graph()
     x = g.input("x")
-    h = g.relu(g.add(g.matmul(x, g.param("w1")), g.param("b1")))
-    g.add(g.matmul(h, g.param("w2")), g.param("b2"), name="out")
+    h = g.linear(x, g.param("w1"), g.param("b1"), relu=True)
+    g.linear(h, g.param("w2"), g.param("b2"), name="out")
     store = _store(
         w1=np.array([[1.0, 0.0], [-1.0, 2.0], [0.5, 1.0]]),
         b1=np.array([0.1, -0.2]),
@@ -143,8 +133,8 @@ def test_fd_random_two_layer_network():
     rng = np.random.default_rng(7)
     g = Graph()
     x = g.input("x")
-    h = g.relu(g.add(g.matmul(x, g.param("w1")), g.param("b1")))
-    out = g.add(g.matmul(h, g.param("w2")), g.param("b2"))
+    h = g.linear(x, g.param("w1"), g.param("b1"), relu=True)
+    out = g.linear(h, g.param("w2"), g.param("b2"))
     g.mean(g.square(out), name="loss")
     store = _store(
         w1=rng.standard_normal((4, 6)),
@@ -167,7 +157,7 @@ def _random_program(rng):
     for step in range(rng.integers(2, 6)):
         op = rng.integers(0, 8)
         if op == 0:
-            cur = g.relu(cur)
+            cur = g.softplus(cur)
         elif op == 1:
             cur = g.sigmoid(cur)
         elif op == 2:
@@ -201,12 +191,12 @@ def test_backward_linearity():
     g = Graph()
     x = g.input("x")
     w = g.param("w")
-    h = g.sigmoid(g.matmul(x, w))
+    h = g.sigmoid(g.linear(x, w, g.param("b")))
     l1 = g.sum(h, name="l1")
     l2 = g.sum(g.square(h), name="l2")
     alpha, beta = 1.7, -0.4
     g.add(g.affine(l1, scale=alpha), g.affine(l2, scale=beta), name="combo")
-    store = _store(w=rng.standard_normal((4, 3)))
+    store = _store(w=rng.standard_normal((4, 3)), b=np.zeros(3))
     inputs = {"x": rng.standard_normal((2, 4))}
     values = forward(g, inputs, store)
 
@@ -226,7 +216,7 @@ def test_forward_and_backward_bit_identical():
     rng = np.random.default_rng(5)
     g = Graph()
     x = g.input("x")
-    h = g.sigmoid(g.add(g.matmul(x, g.param("w")), g.param("b")))
+    h = g.sigmoid(g.linear(x, g.param("w"), g.param("b")))
     g.mean(g.square(h), name="loss")
     store = _store(w=rng.standard_normal((4, 3)), b=rng.standard_normal(3))
     inputs = {"x": rng.standard_normal((6, 4))}
@@ -257,16 +247,17 @@ def test_nonfinite_input_rejected():
 
 def test_shape_mismatch_names_the_node():
     g = Graph()
-    g.matmul(g.input("a"), g.input("b"), name="bad")
-    with pytest.raises(GraphError, match="bad"):
-        forward(g, {"a": np.ones((2, 3)), "b": np.ones((2, 3))})
+    g.linear(g.input("a"), g.input("b"), g.input("c"), name="bad")
+    for a, why in (((2, 3), "inner dimensions differ"), ((3,), "needs 2-D operands")):
+        with pytest.raises(GraphError, match=f"'bad'.*{why}"):
+            forward(g, {"a": np.ones(a), "b": np.ones((2, 3)), "c": np.ones(3)})
 
 
 def test_unknown_reference_and_duplicate_name():
     g = Graph()
     g.input("x")
     with pytest.raises(GraphError):
-        g.relu("nope")
+        g.sigmoid("nope")
     with pytest.raises(GraphError):
         g.input("x")
 

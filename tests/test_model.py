@@ -9,6 +9,7 @@ import pytest
 from mvclust import (
     Model,
     ModelConfig,
+    NumericError,
     ParamStore,
     assign_clusters,
     backward,
@@ -23,9 +24,9 @@ from mvclust import (
     responsibilities,
 )
 from mvclust.data import MultiViewDataset, normalize
-from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, softmax
+from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
 
-from helpers import gamma_direct, mixture_moments, mixture_params, random_views, randomized_model, tiny_config
+from helpers import gamma_direct, mixture_moments, mixture_params, random_views, randomized_model, softmax, tiny_config
 
 
 def zero_model(config):
@@ -80,17 +81,17 @@ def test_encode_dimension_mismatch():
 
 def test_fuse_single_view_is_identity():
     mu = np.array([[1.0, 2.0]])
-    var = np.array([[0.5, 3.0]])
-    post = fuse_posteriors([(mu, var)], np.zeros(1))
+    logvar = np.log([[0.5, 3.0]])
+    post = fuse_posteriors([(mu, logvar)], np.zeros(1))
     assert np.array_equal(post.mean, mu)
-    assert np.array_equal(post.var, var)
+    assert np.array_equal(post.var, np.exp(logvar))
 
 
 def test_fuse_equal_weights_arithmetic():
     post = fuse_posteriors(
         [
-            (np.array([[0.0, 2.0]]), np.array([[1.0, 1.0]])),
-            (np.array([[2.0, 0.0]]), np.array([[3.0, 1.0]])),
+            (np.array([[0.0, 2.0]]), np.log([[1.0, 1.0]])),
+            (np.array([[2.0, 0.0]]), np.log([[3.0, 1.0]])),
         ],
         np.zeros(2),
     )
@@ -101,12 +102,12 @@ def test_fuse_equal_weights_arithmetic():
 def test_fuse_matches_scripted_convex_combination():
     rng = np.random.default_rng(8)
     logits = rng.standard_normal(3)
-    stats = [(rng.standard_normal((6, 4)), rng.uniform(0.1, 2.0, (6, 4))) for _ in range(3)]
+    stats = [(rng.standard_normal((6, 4)), np.log(rng.uniform(0.1, 2.0, (6, 4)))) for _ in range(3)]
     post = fuse_posteriors(stats, logits)
     w = np.exp(logits - logits.max())
     w /= w.sum()
     mu = sum(w[v] * stats[v][0] for v in range(3))
-    var = sum(w[v] * stats[v][1] for v in range(3))
+    var = sum(w[v] * np.exp(stats[v][1]) for v in range(3))
     assert post.mean == pytest.approx(mu, abs=1e-12)
     assert post.var == pytest.approx(var, abs=1e-12)
 
@@ -114,7 +115,7 @@ def test_fuse_matches_scripted_convex_combination():
 def test_fuse_permuting_views_with_weights_is_invariant():
     rng = np.random.default_rng(9)
     logits = rng.standard_normal(3)
-    stats = [(rng.standard_normal((2, 3)), rng.uniform(0.1, 2.0, (2, 3))) for _ in range(3)]
+    stats = [(rng.standard_normal((2, 3)), np.log(rng.uniform(0.1, 2.0, (2, 3)))) for _ in range(3)]
     perm = [2, 0, 1]
     post = fuse_posteriors(stats, logits)
     post_p = fuse_posteriors([stats[i] for i in perm], logits[perm])
@@ -124,26 +125,30 @@ def test_fuse_permuting_views_with_weights_is_invariant():
 
 @pytest.mark.parametrize("n_views", range(1, 7))
 def test_fuse_equals_numpy_convex_combination_exactly(n_views):
-    # init_gmm's k-means runs on these means, so fusion must not drift by an ulp
+    # init_gmm's k-means runs on these means, so fusion must not drift by an
+    # ulp; the oracle weighs the views by log-sum-exp, as the ELBO graph does
     rng = np.random.default_rng(40 + n_views)
-    logits = 3.0 * rng.standard_normal(n_views)
-    stats = [(rng.standard_normal((7, 4)), rng.uniform(0.1, 2.0, (7, 4))) for _ in range(n_views)]
-    post = fuse_posteriors(stats, logits)
-    w = softmax(logits)
-    mu, var = w[0] * stats[0][0], w[0] * stats[0][1]
-    for v in range(1, n_views):
-        mu = mu + w[v] * stats[v][0]
-        var = var + w[v] * stats[v][1]
-    assert np.array_equal(post.mean, mu)
-    assert np.array_equal(post.var, var)
+    random_logits = 3.0 * rng.standard_normal(n_views)
+    stats = [(rng.standard_normal((7, 4)), np.log(rng.uniform(0.1, 2.0, (7, 4)))) for _ in range(n_views)]
+    for logits in (random_logits, np.zeros(n_views)):  # 6 zero logits weigh 0.16666666666666669, not 1/6
+        post = fuse_posteriors(stats, logits)
+        top = logits.max()
+        w = np.exp(logits - (np.log(np.sum(np.exp(logits - top))) + top))
+        mu, var = w[0] * stats[0][0], w[0] * np.exp(stats[0][1])
+        for v in range(1, n_views):
+            mu = mu + w[v] * stats[v][0]
+            var = var + w[v] * np.exp(stats[v][1])
+        assert np.array_equal(post.mean, mu)
+        assert np.array_equal(post.var, var)
 
 
 def test_fuse_missing_view_and_bad_variance():
     stats = [(np.zeros((1, 2)), np.ones((1, 2)))]
     with pytest.raises(ValueError, match="views"):
         fuse_posteriors(stats, np.zeros(2))
-    with pytest.raises(ValueError, match="positive"):
-        fuse_posteriors([(np.zeros((1, 2)), np.zeros((1, 2)))], np.zeros(1))
+    # every finite log-variance is a valid one; a non-finite one is refused
+    with pytest.raises(NumericError, match="'logvar0'"):
+        fuse_posteriors([(np.zeros((1, 2)), np.array([[0.0, np.inf]]))], np.zeros(1))
 
 
 @pytest.mark.parametrize(
@@ -152,16 +157,18 @@ def test_fuse_missing_view_and_bad_variance():
     ids=["broadcastable-variance", "second-view-variance", "second-view-pair"],
 )
 def test_fuse_rejects_a_mean_and_variance_of_other_shapes(shapes):
-    # shapes of mean 0, variance 0, mean 1, variance 1; numpy would broadcast each
+    # shapes of mean 0, log-variance 0, mean 1, log-variance 1; numpy would broadcast each
     mu0, var0, mu1, var1 = (np.ones(shape) for shape in shapes)
-    with pytest.raises(ValueError, match=r"view \d mean and variance must both have view 0's mean shape \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"view \d mean and log-variance must both have view 0's mean shape \(2, 3\)"):
         fuse_posteriors([(mu0, var0), (mu1, var1)], np.zeros(2))
 
 
 def test_fusion_weights_always_on_simplex():
+    # view v's mean is row v of the identity, so the fused mean is the weights
     rng = np.random.default_rng(10)
+    stats = [(np.eye(5)[v : v + 1], np.zeros((1, 5))) for v in range(5)]
     for scale in (0.1, 10.0, 300.0):
-        w = softmax(scale * rng.standard_normal(5))
+        w = fuse_posteriors(stats, scale * rng.standard_normal(5)).mean[0]
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -372,10 +379,7 @@ def test_assign_matches_composed_oracles():
     views = random_views(config, 9, seed=13)
     labels = assign_clusters(model, views)
 
-    stats = []
-    for v in range(config.n_views):
-        mu, logvar = encode_view(model, v, views[v])
-        stats.append((mu, np.exp(logvar)))
+    stats = [encode_view(model, v, views[v]) for v in range(config.n_views)]
     post = fuse_posteriors(stats, model.params["fusion_logits"])
     weights, means, variances = mixture_moments(model.params)
     expected = [
@@ -468,6 +472,18 @@ def test_fusion_and_elbo_require_all_views_of_one_length(score):
         score(model, [np.zeros((2, 4))])
     with pytest.raises(ValueError, match="same number of rows"):
         score(model, [np.zeros((2, 4)), np.zeros((3, 5))])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_elbo_entropy_reads_the_fused_posterior_variance_exactly(seed):
+    # one fused posterior: the ELBO's entropy term is 0.5 * sum_j (1 + log
+    # sigma2_j) of the very variance inference reports, to the last bit
+    config = ModelConfig((4, 3, 5, 2, 6, 3), 2, 3, "gaussian", (6, 5), (5, 6))
+    model = randomized_model(config, seed=seed)
+    views = random_views(config, 9, seed=seed)
+    entropy = elbo_terms(model, views, np.zeros((1, 9, 2)))["entropy"]
+    var = fused_posterior(model, views).var
+    assert np.array_equal(entropy, 0.5 * np.sum(np.log(var), axis=1) + 0.5 * 2)
 
 
 def test_graphs_are_built_once_per_config():

@@ -25,10 +25,9 @@ from mvclust import (
     train,
 )
 from mvclust import metrics as metrics_mod
-from mvclust.model import softmax
 from mvclust.training import DECAY_EVERY, LR_DECAY, TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
 
-from helpers import mixture_moments, tiny_config
+from helpers import mixture_moments, softmax, tiny_config
 
 
 def small_config(**overrides):
