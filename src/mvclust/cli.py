@@ -82,8 +82,8 @@ def cmd_generate(args) -> int:
     noise = rng_for(args.seed, "generate").standard_normal((args.count, model.config.latent_dim))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for v in range(model.config.n_views):
-        save_matrix(out / f"view{v}.csv", generate(model, v, args.cluster, noise))
+    for v, samples in enumerate(generate(model, args.cluster, noise)):
+        save_matrix(out / f"view{v}.csv", samples)
     print(f"samples: {out}")
     return 0
 

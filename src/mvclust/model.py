@@ -18,7 +18,9 @@ Fusion (the view weights, each exp(log sigma_v^2) and their combination),
 the mixture (log pi, means, clamped log-variances) and the responsibilities
 gamma are defined once, by the node builders ``fusion_nodes``,
 ``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
-``fuse_posteriors`` and ``responsibilities`` forward small graphs of them.
+``fuse_posteriors``, ``responsibilities`` and ``generate`` forward small
+graphs of them. One decoder graph decodes every view from one shared z, and
+every operation takes (n, d) matrices.
 """
 
 from __future__ import annotations
@@ -187,9 +189,12 @@ def build_encoder_graph(config: ModelConfig, view: int) -> Graph:
 
 
 @functools.cache
-def build_decoder_graph(config: ModelConfig, view: int) -> Graph:
+def build_decoder_graph(config: ModelConfig) -> Graph:
+    """Every view's decoder on one input ``z``: outputs ``mu{v}``, and ``logvar{v}`` if Gaussian."""
     g = Graph()
-    decoder_nodes(g, config, view, g.input("z"), names=("mu", "logvar"))
+    z = g.input("z")
+    for v in range(config.n_views):
+        decoder_nodes(g, config, v, z, names=(f"mu{v}", f"logvar{v}"))
     return g
 
 
@@ -325,8 +330,8 @@ class Model:
     def encoder_graph(self, view: int) -> Graph:
         return build_encoder_graph(self.config, view)
 
-    def decoder_graph(self, view: int) -> Graph:
-        return build_decoder_graph(self.config, view)
+    def decoder_graph(self) -> Graph:
+        return build_decoder_graph(self.config)
 
     def elbo_graph(self, n_samples: int = 1) -> Graph:
         return build_elbo_graph(self.config, n_samples)
@@ -371,8 +376,6 @@ class Model:
 
 def _check_batch(x, dim, what) -> np.ndarray:
     arr = as_tensor(x)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{what} must be (n, {dim}), got shape {np.shape(x)}")
     return arr
@@ -391,10 +394,13 @@ def _check_views(model: Model, views) -> list[np.ndarray]:
 
 def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
     """A raw dataset's matrices as the encoders take them: through
-    ``model.normalization`` when the model has one. The dataset must have
-    the model's view dims; an already-normalized one raises ValueError."""
+    ``model.normalization`` when the model has one. The dataset must have the
+    model's view dims and likelihood, or name none; a normalized one raises."""
     if dataset.normalization is not None:
         raise ValueError(f"dataset {dataset.name!r} is already normalized; the model normalizes a raw one")
+    if dataset.likelihood not in (None, model.config.likelihood):
+        named = f"dataset {dataset.name!r} names likelihood {dataset.likelihood!r}"
+        raise ValueError(f"{named}, the model's is {model.config.likelihood!r}")
     if dataset.dims != model.config.view_dims:
         raise ValueError(f"dataset view dims {dataset.dims} do not match model view dims {model.config.view_dims}")
     return dataset.matrices if model.normalization is None else model.normalization.apply(dataset.matrices)
@@ -432,13 +438,12 @@ def fuse_posteriors(per_view, logits) -> LatentPosterior:
     return LatentPosterior(values[mu], values[var])
 
 
-def decode(model: Model, view: int, z) -> np.ndarray:
-    """Decoded mean of view ``view`` for each z row: the clipped Bernoulli
-    probabilities or the Gaussian means."""
-    if not 0 <= view < model.config.n_views:
-        raise ValueError(f"view index {view} out of range")
+def decode(model: Model, z) -> list[np.ndarray]:
+    """Decoded mean of every view for each z row, one (n, d_v) matrix per
+    view: the clipped Bernoulli probabilities or the Gaussian means."""
     arr = _check_batch(z, model.config.latent_dim, "latent z")
-    return forward(model.decoder_graph(view), {"z": arr}, model.params)["mu"]
+    values = forward(model.decoder_graph(), {"z": arr}, model.params)
+    return [values[f"mu{v}"] for v in range(model.config.n_views)]
 
 
 @functools.cache
@@ -461,8 +466,7 @@ def responsibilities(z, mixture) -> np.ndarray:
         raise ValueError(f"mix_logits, gmm_means, gmm_logvars must be (K,), (K, J), (K, J), got {shapes}")
     J = shapes[1][1]
     g, gamma = _gamma_graph(J)
-    out = forward(g, {"z": _check_batch(z, J, "z")}, mixture)[gamma]
-    return out[0] if np.ndim(z) == 1 else out
+    return forward(g, {"z": _check_batch(z, J, "z")}, mixture)[gamma]
 
 
 def fused_posterior(model: Model, views) -> LatentPosterior:
@@ -497,6 +501,8 @@ def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
     recon/gauss_kl/cat_kl/entropy/elbo_samples/elbo. Bernoulli models
     require data in [0, 1]."""
     mats = _check_views(model, views)
+    if mats[0].shape[0] == 0:
+        raise ValueError("the objective needs at least one row, got an empty batch")
     if model.config.likelihood == "bernoulli":
         for v, arr in enumerate(mats):
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
@@ -511,16 +517,20 @@ def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
     return {k: values[k] for k in keys}
 
 
-def generate(model: Model, view: int, cluster: int, noise) -> np.ndarray:
-    """Draw z from the chosen prior component and decode view ``view``.
+@functools.cache
+def _draw_graph(cluster: int) -> tuple[Graph, str]:
+    """z = mu_c + sqrt(exp(clamped log sigma_c^2)) * eps for row ``cluster`` of ``mixture_nodes``."""
+    g = Graph()
+    _, means, logvars = mixture_nodes(g)
+    row = functools.partial(g.slice, axis=0, start=cluster, stop=cluster + 1)
+    return g, g.add(row(means), g.mul(g.sqrt(g.exp(row(logvars))), g.input("eps")))
 
-    Returns the decoded mean (no binarization for Bernoulli decoders).
-    """
+
+def generate(model: Model, cluster: int, noise) -> list[np.ndarray]:
+    """Draw one z per ``noise`` row from prior component ``cluster``; returns
+    every view's decoded means from it (no binarization for Bernoulli views)."""
     K = model.config.n_clusters
     if not 0 <= cluster < K:
         raise ValueError(f"cluster index {cluster} out of range [0, {K})")
-    eps = _check_batch(noise, model.config.latent_dim, "noise")
-    logvar = np.clip(as_tensor(model.params["gmm_logvars"][cluster]), LOGVAR_MIN, LOGVAR_MAX)
-    z = as_tensor(model.params["gmm_means"][cluster]) + np.sqrt(np.exp(logvar)) * eps
-    out = decode(model, view, z)
-    return out[0] if np.ndim(noise) == 1 else out
+    g, z = _draw_graph(cluster)
+    return decode(model, forward(g, {"eps": _check_batch(noise, model.config.latent_dim, "noise")}, model.params)[z])

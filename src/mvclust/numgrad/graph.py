@@ -311,9 +311,7 @@ def _eval_logsumexp(node, args):
     axis, keepdims = node.attrs["axis"], node.attrs["keepdims"]
     m = np.max(x, axis=axis, keepdims=True)
     out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    if not keepdims:
-        out = out.reshape(np.sum(x, axis=axis, keepdims=False).shape)
-    return out
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _slicer(node):

@@ -415,6 +415,8 @@ def train(dataset: MultiViewDataset, config: TrainConfig, out_dir=None, resume_f
     """
     if dataset.likelihood is None:
         raise ValueError("the dataset manifest names no likelihood")
+    if config.n_clusters > dataset.n:
+        raise ValueError(f"n_clusters {config.n_clusters} exceeds the {dataset.n} rows of dataset {dataset.name!r}")
     data = normalize(dataset, dataset.likelihood)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:

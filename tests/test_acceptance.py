@@ -128,7 +128,7 @@ def test_criterion_3_responsibility_oracle():
         variances = rng.uniform(0.1, 3.0, (k, j))
         z = rng.normal(0.0, 2.0, j)
         mixture = {"mix_logits": np.log(weights), "gmm_means": means, "gmm_logvars": np.log(variances)}
-        got = responsibilities(z, mixture)
+        got = responsibilities(z[None, :], mixture)[0]
         want = gamma_direct(z, weights, means, variances)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst < 1e-12

@@ -101,9 +101,10 @@ def test_train_has_no_seed_flag(workspace, tmp_path, capsys):
         ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
         ({"n_clusters": 3, "likelihood": "poisson"}, "config.json has unknown fields ['likelihood']"),
         ({"n_clusters": 3, "encoder_hidden": [0]}, "encoder_hidden widths must be >= 1, got (0,)"),
+        ({"n_clusters": 500}, "n_clusters 500 exceeds the 120 rows of dataset 'demo'"),
     ],
     ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every",
-         "unknown-likelihood", "encoder-hidden-zero"],
+         "unknown-likelihood", "encoder-hidden-zero", "more-clusters-than-rows"],
 )
 def test_bad_config_file_exits_2_naming_the_file_or_field(workspace, tmp_path, capsys, config, named):
     config_path = tmp_path / "config.json"
@@ -311,6 +312,21 @@ def test_assign_dim_mismatch_diagnosed(workspace, tmp_path, capsys):
     assert "view dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["assign", "embed"])
+def test_data_naming_another_likelihood_exits_2(workspace, tmp_path, capsys, command):
+    manifest = json.loads(workspace["manifest"].read_text())
+    manifest["likelihood"] = "bernoulli"
+    shutil.copytree(workspace["manifest"].parent, tmp_path / "data")
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out.txt"
+    code = main([
+        command, "--model", str(workspace["model"]),
+        "--manifest", str(tmp_path / "data" / "manifest.json"), "--out", str(out),
+    ])
+    assert code == 2 and not out.exists()
+    assert "names likelihood 'bernoulli', the model's is 'gaussian'" in capsys.readouterr().err
+
+
 # the flags each command reads a file or directory from
 _INPUT_FLAGS = {"train": ("--manifest", "--config"), "synth": ("--spec",), "eval": ("--pred", "--truth"),
                 "assign": ("--model", "--manifest")}
@@ -484,10 +500,10 @@ def test_generate_outputs(workspace, tmp_path):
     assert code == 0
     model = Model.load(workspace["model"])
     noise = rng_for(9, "generate").standard_normal((6, model.config.latent_dim))
-    for v in range(model.config.n_views):
+    for v, want in enumerate(generate(model, 1, noise)):
         got = np.loadtxt(out_dir / f"view{v}.csv", delimiter=",", ndmin=2)
         assert got.shape == (6, model.config.view_dims[v])
-        assert np.allclose(got, generate(model, v, 1, noise), atol=0, rtol=0)
+        assert np.allclose(got, want, atol=0, rtol=0)
 
 
 def test_generate_seed_deterministic(workspace, tmp_path):

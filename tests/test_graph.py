@@ -302,11 +302,14 @@ def test_slice_roundtrip():
 def test_logsumexp_matches_reference():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 5)) * 4
-    g = Graph()
-    g.logsumexp(g.input("x"), axis=1, name="lse")
-    values = forward(g, {"x": x})
-    ref = np.log(np.exp(x).sum(axis=1))
-    assert values["lse"] == pytest.approx(ref, abs=1e-12)
+    for axis in (1, 0, None):
+        for keepdims in (False, True):
+            g = Graph()
+            g.logsumexp(g.input("x"), axis=axis, keepdims=keepdims, name="lse")
+            values = forward(g, {"x": x})
+            ref = np.log(np.exp(x).sum(axis=axis, keepdims=keepdims))
+            assert values["lse"].shape == ref.shape
+            assert values["lse"] == pytest.approx(ref, abs=1e-12)
 
 
 def test_clip_passes_gradient_only_inside_bounds():

@@ -56,7 +56,7 @@ def test_encode_hand_set_toy():
     model.params.set_value("enc0_b0", [0.2])
     model.params.set_value("enc0_w1", [[2.0, -3.0]])
     model.params.set_value("enc0_b1", [0.05, 0.1])
-    mu, logvar = encode_view(model, 0, [1.0, 0.6])
+    mu, logvar = encode_view(model, 0, [[1.0, 0.6]])
     # relu(0.5 - 0.6 + 0.2) = 0.1; head: mu = 0.25, logvar = -0.2
     assert mu.reshape(-1) == pytest.approx([0.25], abs=1e-12)
     assert logvar.reshape(-1) == pytest.approx([-0.2], abs=1e-12)
@@ -178,13 +178,13 @@ def test_fusion_weights_always_on_simplex():
 
 def decoder_logvar(model, view, z):
     """The Gaussian decoder's clamped log-variance head, read from its graph."""
-    return forward(model.decoder_graph(view), {"z": np.atleast_2d(z)}, model.params)["logvar"]
+    return forward(model.decoder_graph(), {"z": z}, model.params)[f"logvar{view}"]
 
 
 def test_decode_bernoulli_zero_network_is_half():
     model = zero_model(tiny_config("bernoulli"))
-    out = decode(model, 0, np.zeros((2, 2)))
-    assert np.all(out == 0.5)
+    out = decode(model, np.zeros((2, 2)))
+    assert len(out) == 2 and all(np.all(view == 0.5) for view in out)
 
 
 def test_decode_bernoulli_hand_set_toy():
@@ -197,7 +197,7 @@ def test_decode_bernoulli_hand_set_toy():
     model.params.set_value("dec0_b0", [-0.05])
     model.params.set_value("dec0_w1", [[1.5, -2.0]])
     model.params.set_value("dec0_b1", [0.2, 0.3])
-    out = decode(model, 0, [0.5])
+    (out,) = decode(model, [[0.5]])
     # relu(0.4 - 0.05) = 0.35; head = [0.725, -0.4]
     expected = [1 / (1 + math.exp(-0.725)), 1 / (1 + math.exp(0.4))]
     assert out.reshape(-1) == pytest.approx(expected, abs=1e-12)
@@ -210,20 +210,13 @@ def test_decode_bernoulli_clamps_saturated_head():
     )
     model = zero_model(config)
     model.params.set_value("dec0_b1", [100.0])
-    out = decode(model, 0, [0.0])
+    (out,) = decode(model, [[0.0]])
     assert out.reshape(-1)[0] == 1.0 - BERNOULLI_EPS
-
-
-@pytest.mark.parametrize("view", [-1, 2])
-def test_decode_rejects_an_out_of_range_view(view):
-    model = zero_model(tiny_config("gaussian"))
-    with pytest.raises(ValueError, match=f"view index {view} out of range"):
-        decode(model, view, np.zeros((1, 2)))
 
 
 def test_decode_gaussian_zero_network():
     model = zero_model(tiny_config("gaussian"))
-    mu, logvar = decode(model, 1, np.zeros((3, 2))), decoder_logvar(model, 1, np.zeros((3, 2)))
+    mu, logvar = decode(model, np.zeros((3, 2)))[1], decoder_logvar(model, 1, np.zeros((3, 2)))
     assert np.all(mu == 0.0)
     assert np.all(logvar == 0.0)
 
@@ -238,7 +231,7 @@ def test_decode_gaussian_hand_set_toy():
     model.params.set_value("dec0_b0", [0.1])
     model.params.set_value("dec0_w1", [[0.5, -1.0]])
     model.params.set_value("dec0_b1", [-0.3, 0.2])
-    mu, logvar = decode(model, 0, [0.4]), decoder_logvar(model, 0, [0.4])
+    (mu,), logvar = decode(model, [[0.4]]), decoder_logvar(model, 0, [[0.4]])
     # relu(0.8 + 0.1) = 0.9; mean head 0.9*0.5 - 0.3 = 0.15; logvar -0.7
     assert mu.reshape(-1) == pytest.approx([0.15], abs=1e-12)
     assert logvar.reshape(-1) == pytest.approx([-0.7], abs=1e-12)
@@ -251,10 +244,10 @@ def test_decode_gaussian_logvar_clamped():
     )
     model = zero_model(config)
     model.params.set_value("dec0_b1", [0.0, 40.0])
-    logvar = decoder_logvar(model, 0, [0.0])
+    logvar = decoder_logvar(model, 0, [[0.0]])
     assert logvar.reshape(-1)[0] == LOGVAR_MAX
     model.params.set_value("dec0_b1", [0.0, -40.0])
-    logvar = decoder_logvar(model, 0, [0.0])
+    logvar = decoder_logvar(model, 0, [[0.0]])
     assert logvar.reshape(-1)[0] == LOGVAR_MIN
 
 
@@ -279,18 +272,18 @@ def test_responsibilities_reject_a_mixture_of_mismatched_shapes(logits, means, l
 
 def test_responsibilities_single_component():
     mixture = mixture_params(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
-    assert np.array_equal(responsibilities(np.zeros(2), mixture), [1.0])
+    assert np.array_equal(responsibilities(np.zeros((1, 2)), mixture), [[1.0]])
 
 
 def test_responsibilities_symmetric_split():
     mixture = mixture_params(np.array([0.5, 0.5]), np.array([[1.0, -2.0], [-1.0, 2.0]]), np.ones((2, 2)))
-    gamma = responsibilities(np.zeros(2), mixture)
+    (gamma,) = responsibilities(np.zeros((1, 2)), mixture)
     assert gamma == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_responsibilities_density_ratio_instance():
     mixture = mixture_params(np.array([0.3, 0.7]), np.array([[0.0], [1.0]]), np.ones((2, 1)))
-    gamma = responsibilities(np.array([0.5]), mixture)
+    (gamma,) = responsibilities(np.array([[0.5]]), mixture)
     d0 = 0.3 * math.exp(-0.125)
     d1 = 0.7 * math.exp(-0.125)
     assert gamma == pytest.approx([d0 / (d0 + d1), d1 / (d0 + d1)], abs=1e-14)
@@ -396,6 +389,16 @@ def test_model_inputs_rejects_other_view_dims():
         model_inputs(model, dataset)
 
 
+def test_model_inputs_rejects_data_that_names_another_likelihood():
+    model = zero_model(tiny_config("gaussian"))
+    views = random_views(tiny_config("gaussian"), 3, seed=3)
+    other = MultiViewDataset("other", ["a", "b"], views, likelihood="bernoulli")
+    with pytest.raises(ValueError, match="dataset 'other' names likelihood 'bernoulli', the model's is 'gaussian'"):
+        model_inputs(model, other)
+    for likelihood in ("gaussian", None):
+        assert model_inputs(model, MultiViewDataset("d", ["a", "b"], views, likelihood=likelihood)) is views
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
 def test_model_inputs_puts_a_raw_dataset_through_the_model_record_only(kind):
     config = tiny_config(kind)
@@ -465,6 +468,13 @@ def test_elbo_terms_rejects_out_of_range_bernoulli_data():
         elbo_terms(model, views, np.zeros((1, 2, 2)))
 
 
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_elbo_terms_rejects_an_empty_batch(kind):
+    model = zero_model(tiny_config(kind))
+    with pytest.raises(ValueError, match="at least one row"):
+        elbo_terms(model, [np.zeros((0, 4)), np.zeros((0, 5))], np.zeros((1, 0, 2)))
+
+
 @pytest.mark.parametrize("score", [fused_posterior, lambda model, views: elbo_terms(model, views, np.zeros((1, 2, 2)))])
 def test_fusion_and_elbo_require_all_views_of_one_length(score):
     model = zero_model(tiny_config("gaussian"))
@@ -489,7 +499,7 @@ def test_elbo_entropy_reads_the_fused_posterior_variance_exactly(seed):
 def test_graphs_are_built_once_per_config():
     a, b = Model.initialize(tiny_config("gaussian"), seed=0), Model.initialize(tiny_config("gaussian"), seed=1)
     assert a.elbo_graph(2) is b.elbo_graph(2) and a.elbo_graph() is not a.elbo_graph(2)
-    assert a.encoder_graph(1) is b.encoder_graph(1) and a.decoder_graph(0) is b.decoder_graph(0)
+    assert a.encoder_graph(1) is b.encoder_graph(1) and a.decoder_graph() is b.decoder_graph()
 
 
 def test_elbo_nonrecon_terms_match_quadrature():
@@ -589,6 +599,17 @@ def _numpy_decode(model, view, z):
     if cfg.likelihood == "bernoulli":
         return np.clip(1.0 / (1.0 + np.exp(-h)), BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
     return h[:, :d], np.clip(h[:, d:], LOGVAR_MIN, LOGVAR_MAX)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_decode_matches_numpy_rederivation_in_every_view(kind):
+    model = randomized_model(tiny_config(kind), seed=37)
+    z = np.random.default_rng(38).standard_normal((6, 2))
+    got = decode(model, z)
+    assert len(got) == model.config.n_views
+    for v, mu in enumerate(got):
+        want = _numpy_decode(model, v, z)
+        assert mu == pytest.approx(want if kind == "bernoulli" else want[0], abs=1e-12)
 
 
 def _numpy_elbo_terms(model, views, eps):
@@ -706,27 +727,53 @@ def test_elbo_multi_sample_averages_branches():
 def test_generate_zero_noise_decodes_component_mean():
     config = tiny_config("bernoulli")
     model = randomized_model(config, seed=26)
-    out = generate(model, 0, 1, np.zeros(2))
-    expected = decode(model, 0, model.params["gmm_means"][1][None, :])[0]
-    assert np.array_equal(out, expected)
+    out = generate(model, 1, np.zeros((1, 2)))
+    expected = decode(model, model.params["gmm_means"][1][None, :])
+    assert len(out) == 2 and all(np.array_equal(o, e) for o, e in zip(out, expected))
 
 
 def test_generate_zero_decoder_is_all_half():
     model = zero_model(tiny_config("bernoulli", n_clusters=1))
-    out = generate(model, 1, 0, np.zeros((3, 2)))
-    assert np.all(out == 0.5)
+    out = generate(model, 0, np.zeros((3, 2)))
+    assert [view.shape for view in out] == [(3, 4), (3, 5)]
+    assert all(np.all(view == 0.5) for view in out)
 
 
 def test_generate_deterministic_given_noise():
     model = randomized_model(tiny_config("gaussian"), seed=27)
     noise = np.random.default_rng(28).standard_normal((4, 2))
-    assert np.array_equal(generate(model, 0, 2, noise), generate(model, 0, 2, noise))
+    assert all(np.array_equal(a, b) for a, b in zip(generate(model, 2, noise), generate(model, 2, noise)))
+
+
+@pytest.mark.parametrize("logvar, clamped", [(40.0, LOGVAR_MAX), (-40.0, LOGVAR_MIN)])
+def test_generate_draws_under_the_clamped_component_log_variance(logvar, clamped):
+    model = randomized_model(tiny_config("gaussian"), seed=35)
+    model.params.set_value("gmm_logvars", np.full((3, 2), logvar))
+    noise = np.random.default_rng(36).standard_normal((4, 2))
+    expected = decode(model, model.params["gmm_means"][2] + math.exp(clamped / 2) * noise)
+    for got, want in zip(generate(model, 2, noise), expected, strict=True):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_generate_bad_cluster_index():
     model = zero_model(tiny_config("bernoulli"))
     with pytest.raises(ValueError, match="cluster"):
-        generate(model, 0, 3, np.zeros(2))
+        generate(model, 3, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, dim",
+    [
+        (lambda model: encode_view(model, 0, np.zeros(4)), 4),
+        (lambda model: decode(model, np.zeros(2)), 2),
+        (lambda model: responsibilities(np.zeros(2), model.params), 2),
+        (lambda model: generate(model, 0, np.zeros(2)), 2),
+    ],
+    ids=["encode_view", "decode", "responsibilities", "generate"],
+)
+def test_inference_rejects_a_one_dimensional_row(call, dim):
+    with pytest.raises(ValueError, match=rf"must be \(n, {dim}\), got shape \({dim},\)"):
+        call(zero_model(tiny_config("gaussian")))
 
 
 # -- config and archive ------------------------------------------------------------------------
@@ -775,9 +822,10 @@ def test_model_archive_roundtrip(tmp_path):
 @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
 def test_inference_graphs_emit_heads_without_renames(kind):
     model = zero_model(tiny_config(kind))
-    enc, dec = model.encoder_graph(0), model.decoder_graph(1)
+    enc, dec = model.encoder_graph(0), model.decoder_graph()
     assert enc.inputs == ["x"] and {"mu", "logvar"} <= {node.name for node in enc.nodes}
-    assert ({"mu"} if kind == "bernoulli" else {"mu", "logvar"}) <= {node.name for node in dec.nodes}
+    heads = {"mu0", "mu1"} if kind == "bernoulli" else {"mu0", "mu1", "logvar0", "logvar1"}
+    assert dec.inputs == ["z"] and heads <= {node.name for node in dec.nodes}
     assert all(node.op != "affine" for node in enc.nodes + dec.nodes)
 
 

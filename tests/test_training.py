@@ -312,7 +312,7 @@ def test_pretrain_recovers_low_rank_view():
     from mvclust import decode, encode_view
 
     mu, _ = encode_view(model, 0, dataset.matrices[0])
-    recon = decode(model, 0, mu)
+    (recon,) = decode(model, mu)
     x = dataset.matrices[0]
     residual = ((x - recon) ** 2).mean()
     variance = ((x - x.mean(axis=0)) ** 2).mean()
@@ -411,6 +411,17 @@ def test_train_rejects_an_already_normalized_dataset():
 def test_train_rejects_a_dataset_normalized_for_the_other_likelihood():
     with pytest.raises(ValueError, match="dataset 'synthetic' is already normalized"):
         train(normalize(small_dataset(), "bernoulli"), small_config())
+
+
+def test_train_rejects_more_clusters_than_rows_before_pretraining(monkeypatch):
+    import mvclust.training
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretraining must not run")
+
+    monkeypatch.setattr(mvclust.training, "pretrain_autoencoders", refuse)
+    with pytest.raises(ValueError, match="n_clusters 50 exceeds the 40 rows of dataset 'synthetic'"):
+        train(small_dataset(n=40), small_config(n_clusters=50))
 
 
 def test_train_different_seeds_differ():
