@@ -11,6 +11,13 @@ accumulates gradients into the parameter store.
 training runs its graphs in float32, inference and the gradient oracles in
 float64. Replaying a graph on the same inputs and parameters is
 bit-identical: every primitive is a deterministic sequential numpy operation.
+
+Every value ``forward`` computes is scanned for non-finite entries exactly
+once, and the first node that yields one is named in a ``NumericError``.
+Each node's output is scanned by ``forward`` after the node runs, except a
+``linear`` node's: ``_eval_linear`` scans its product ``x @ w + b`` itself,
+before its optional ReLU, because the ReLU would turn a ``-inf`` into 0 and
+hide the overflow, while a finite product stays finite through it.
 """
 
 from __future__ import annotations
@@ -201,7 +208,7 @@ def forward(graph: Graph, inputs, params=None, dtype=np.float64) -> dict:
                 out = _EVAL[node.op](node, args)
             except (ValueError, IndexError) as exc:
                 raise GraphError(f"node {node.name!r} ({node.op}): {exc}") from exc
-            if not np.isfinite(out).all():
+            if node.op != "linear" and not np.isfinite(out).all():  # linear scans its own product
                 raise NumericError(f"non-finite values produced by node {node.name!r} ({node.op})")
             values[node.name] = out
     return values
@@ -269,10 +276,11 @@ def _eval_linear(node, args):
     if b.shape != (w.shape[1],):
         raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
     out += b
+    # the layer's one scan (forward skips it): before the ReLU, which would
+    # clamp -inf to 0
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite values produced by node {node.name!r} (linear)")
     if node.attrs["relu"]:
-        # the ReLU would clamp -inf to 0, so the overflow check comes first
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite values produced by node {node.name!r} (linear)")
         np.maximum(out, 0.0, out=out)
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +60,22 @@ class ParamStore:
             if name in arrays:
                 raise ValueError(f"parameter {name!r} already exists")
             arrays[name] = np.asarray(value)
-        total = sum(arr.size for arr in arrays.values())
-        self._value, self._grad, self._m, self._v = (np.zeros(total, dtype=dtype) for _ in range(4))
+        self._layout(((name, arr.shape) for name, arr in arrays.items()), dtype)
+        for name, arr in arrays.items():
+            self[name][...] = arr
+
+    def _layout(self, shapes, dtype) -> None:
+        """Allocate the four zeroed arenas and each name's views into them
+        from ``(name, shape)`` pairs, in order; ``step`` starts at 0."""
+        shapes = list(shapes)
+        total = sum(math.prod(shape) for _, shape in shapes)
+        self._value, self._grad, self._m, self._v = arenas = tuple(np.zeros(total, dtype=dtype) for _ in range(4))
         self._views: dict[str, tuple[np.ndarray, ...]] = {}
         offset = 0
-        for name, arr in arrays.items():
-            span = slice(offset, offset + arr.size)
-            views = tuple(buf[span].reshape(arr.shape) for buf in (self._value, self._grad, self._m, self._v))
-            views[0][...] = arr
-            self._views[name] = views
-            offset += arr.size
+        for name, shape in shapes:
+            span = slice(offset, offset + math.prod(shape))
+            self._views[name] = tuple(buf[span].reshape(shape) for buf in arenas)
+            offset = span.stop
         self.step = 0
 
     @property
@@ -142,11 +149,11 @@ class ParamStore:
 
     def clone(self, dtype=None) -> "ParamStore":
         """A copy of every arena and ``step``, in ``dtype`` (default: this store's)."""
-        out = ParamStore(((name, self[name]) for name in self._views), dtype=dtype or self.dtype)
+        out = ParamStore.__new__(ParamStore)
+        out._layout(((name, self[name].shape) for name in self._views), dtype or self.dtype)
+        for got, have in zip((out._value, out._grad, out._m, out._v), (self._value, self._grad, self._m, self._v)):
+            got[...] = have
         out.step = self.step
-        out._grad[...] = self._grad
-        out._m[...] = self._m
-        out._v[...] = self._v
         return out
 
     # -- checkpoint format -------------------------------------------------
@@ -175,60 +182,89 @@ class ParamStore:
     @classmethod
     def load(cls, path) -> "ParamStore":
         """Read a checkpoint into a float64 store; an unreadable file, unknown
-        header flags, a truncated payload or trailing bytes raise a
-        ``ValueError`` that names the file (and the parameter)."""
+        header flags, a truncated payload, trailing bytes or a parameter name
+        that is not UTF-8, empty or repeated raise a ``ValueError`` that names
+        the file (and the parameter).
+
+        Every header is checked against the file's size before anything is
+        allocated; then each payload is read in place into its arena slice,
+        so a load holds no other copy of the file.
+        """
         try:
-            buf = Path(path).read_bytes()
+            with open(path, "rb") as fh:
+                return cls._read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path)
         except OSError as exc:
             raise ValueError(f"cannot read parameter checkpoint {path}: {exc}") from exc
-        if buf[:4] != _MAGIC:
+
+    @classmethod
+    def _read_checkpoint(cls, fh, size, path) -> "ParamStore":
+        header = 4 + struct.calcsize("<IIQI")
+        head = fh.read(header)
+        if head[:4] != _MAGIC:
             raise ValueError(f"not a parameter checkpoint: {path}")
-        offset = 4 + struct.calcsize("<IIQI")
-        if len(buf) < offset:
-            raise ValueError(f"truncated parameter checkpoint {path}: header needs {offset} bytes, has {len(buf)}")
-        version, flags, step, count = struct.unpack_from("<IIQI", buf, 4)
+        if len(head) < header:
+            raise ValueError(f"truncated parameter checkpoint {path}: header needs {header} bytes, has {len(head)}")
+        version, flags, step, count = struct.unpack_from("<IIQI", head, 4)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path} has format version {version}, only {_FORMAT_VERSION} is supported")
         if flags & ~_FLAG_MOMENTS:
             raise ValueError(f"{path} sets unknown header flag bits {flags & ~_FLAG_MOMENTS:#x}")
         n_arrays = 3 if flags & _FLAG_MOMENTS else 1
-        entries = []  # (name, value[, m, v]) as read-only views of the file buffer
+        shapes, starts = {}, []  # name -> shape, in file order; where each payload starts
         name = None
         for index in range(count):
-            what = f"parameter {index + 1} of {count}" + (f" after {name!r}" if name else "")
+            where = f"parameter {index + 1} of {count}"
+            what = where + (f" after {name!r}" if name else "")
+            (name_len,) = struct.unpack("<H", _read_header(fh, 2, path, what))
+            raw = _read_header(fh, name_len, path, what)
             try:
-                (name_len,) = struct.unpack_from("<H", buf, offset)
-                raw = buf[offset + 2 : offset + 2 + name_len]
-                if len(raw) < name_len:
-                    raise struct.error("name cut short")
                 name = raw.decode("utf-8")
-                what = f"parameter {name!r}"
-                offset += 2 + name_len
-                (ndim,) = struct.unpack_from("<B", buf, offset)
-                shape = struct.unpack_from(f"<{ndim}Q", buf, offset + 1)
-                offset += 1 + 8 * ndim
-            except struct.error:
-                raise ValueError(f"truncated parameter checkpoint {path}: header of {what}") from None
-            size = math.prod(shape)
-            nbytes = 8 * size * n_arrays
-            if len(buf) - offset < nbytes:
+            except UnicodeDecodeError:
+                raise ValueError(f"parameter checkpoint {path}: the name of {where} is not UTF-8") from None
+            if not name:
+                raise ValueError(f"parameter checkpoint {path}: {where} has an empty name")
+            if name in shapes:
+                raise ValueError(f"parameter checkpoint {path}: {where} repeats the name {name!r}")
+            what = f"parameter {name!r}"
+            (ndim,) = struct.unpack("<B", _read_header(fh, 1, path, what))
+            shape = struct.unpack(f"<{ndim}Q", _read_header(fh, 8 * ndim, path, what))
+            start = fh.tell()
+            nbytes = 8 * math.prod(shape) * n_arrays
+            if size - start < nbytes:
                 raise ValueError(
-                    f"truncated parameter checkpoint {path}: {what} needs {nbytes} bytes of data, "
-                    f"{len(buf) - offset} left"
+                    f"truncated parameter checkpoint {path}: {what} needs {nbytes} bytes of data, {size - start} left"
                 )
-            arrays = np.frombuffer(buf, dtype="<f8", count=size * n_arrays, offset=offset).reshape(n_arrays, *shape)
-            offset += nbytes
-            entries.append((name, *arrays))
-        if offset != len(buf):
+            shapes[name] = shape
+            starts.append(start)
+            fh.seek(start + nbytes)
+        end = fh.tell()
+        if end != size:
             raise ValueError(
-                f"parameter checkpoint {path} has {len(buf) - offset} trailing bytes after "
+                f"parameter checkpoint {path} has {size - end} trailing bytes after "
                 + (f"the last parameter {name!r}" if name else "its header")
             )
-        store = cls((name, value) for name, value, *_ in entries)
+        store = cls.__new__(cls)
+        store._layout(shapes.items(), np.float64)
         store.step = step
-        if n_arrays == 3:
-            for name, _, m, v in entries:
-                store_m, store_v = store.moments(name)
-                store_m[...] = m
-                store_v[...] = v
+        for name, start in zip(shapes, starts):
+            value, _, m, v = store._views[name]
+            fh.seek(start)
+            for arr in (value, m, v)[:n_arrays]:
+                got = fh.readinto(arr)
+                if got != arr.nbytes:
+                    raise ValueError(
+                        f"truncated parameter checkpoint {path}: read {got} of the {arr.nbytes} bytes "
+                        f"of an array of parameter {name!r}"
+                    )
+        if sys.byteorder != "little":  # the payloads are <f8
+            for arena in (store._value, store._m, store._v)[:n_arrays]:
+                arena.byteswap(inplace=True)
         return store
+
+
+def _read_header(fh, n, path, what) -> bytes:
+    """The next ``n`` bytes of a header field of ``what``, which must all be there."""
+    raw = fh.read(n)
+    if len(raw) < n:
+        raise ValueError(f"truncated parameter checkpoint {path}: header of {what}")
+    return raw

@@ -595,12 +595,17 @@ _MANIFEST_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", [*_DESCRIPTOR_DAMAGE, *_MANIFEST_DAMAGE])
+@pytest.mark.parametrize("damage", [*_DESCRIPTOR_DAMAGE, *_MANIFEST_DAMAGE, "params-name-not-utf8"])
 def test_damaged_archive_or_manifest_exits_2_naming_the_file(workspace, tmp_path, capsys, damage):
     model_dir, manifest = tmp_path / "model", workspace["manifest"]
     shutil.copytree(workspace["model"], model_dir)
     if damage in _DESCRIPTOR_DAMAGE:
         named = _damage_descriptor(model_dir, _DESCRIPTOR_DAMAGE[damage])
+    elif damage == "params-name-not-utf8":
+        named = model_dir / "params.bin"
+        raw = bytearray(named.read_bytes())
+        raw[24 + 2] = 0xFF  # the first name byte, after the 24-byte file header and the u16 name length
+        named.write_bytes(bytes(raw))
     else:
         manifest = named = tmp_path / "manifest.json"
         bad, field = _MANIFEST_DAMAGE[damage]

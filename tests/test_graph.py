@@ -66,10 +66,12 @@ def test_linear_finite_differences():
     assert worst < 1e-4, worst_at
 
 
-def test_linear_relu_overflow_names_the_node():
-    # x @ w is -inf in every column; a ReLU applied first would hide it as 0
+@pytest.mark.parametrize("relu", [True, False])
+def test_linear_relu_overflow_names_the_node(relu):
+    # x @ w is -inf in every column; a ReLU applied first would hide it as 0,
+    # and a head layer without one is scanned by the same check
     g = Graph()
-    g.linear(g.input("x"), g.param("w"), g.param("b"), relu=True, name="dense")
+    g.linear(g.input("x"), g.param("w"), g.param("b"), relu=relu, name="dense")
     store = _store(w=np.full((2, 3), -1e308), b=np.zeros(3))
     with pytest.raises(NumericError, match="'dense'"):
         forward(g, {"x": np.full((1, 2), 10.0)}, store)

@@ -1,6 +1,7 @@
 """ParamStore state, Adam updates, checkpoint format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,11 +190,78 @@ def test_checkpoint_rejects_garbage(tmp_path):
         ParamStore.load(path)
 
 
+def _small_store():
+    return ParamStore([("alpha", np.arange(6.0).reshape(2, 3)), ("beta", np.arange(4.0))])
+
+
 def _saved(tmp_path, include_moments=True):
-    store = ParamStore([("alpha", np.arange(6.0).reshape(2, 3)), ("beta", np.arange(4.0))])
     path = tmp_path / "ckpt.bin"
-    store.save(path, include_moments=include_moments)
+    _small_store().save(path, include_moments=include_moments)
     return path, path.read_bytes()
+
+
+# the checkpoint sizes of _small_store, with and without moments
+_SMALL_SIZE = {m: len(b"".join(_small_store()._checkpoint_chunks(m))) for m in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "include_moments, cut", [(m, cut) for m, size in _SMALL_SIZE.items() for cut in range(size)]
+)
+def test_every_proper_prefix_of_a_checkpoint_is_refused_naming_the_file(tmp_path, include_moments, cut):
+    path, raw = _saved(tmp_path, include_moments)
+    assert len(raw) == _SMALL_SIZE[include_moments]
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError) as info:
+        ParamStore.load(path)
+    assert str(path) in str(info.value)
+
+
+def _checkpoint_of_names(*raw_names):
+    """The bytes of a checkpoint without moments whose parameters are one
+    zero each, named by the raw (unchecked) name bytes given."""
+    parts = [b"NGPS", struct.pack("<IIQI", 1, 0, 0, len(raw_names))]
+    for raw in raw_names:
+        parts += [struct.pack(f"<H{len(raw)}sBQ", len(raw), raw, 1, 1), struct.pack("<d", 0.0)]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((b"a", b"\xff"), "the name of parameter 2 of 2 is not UTF-8"),
+        ((b"a", b"b", b"a"), "parameter 3 of 3 repeats the name 'a'"),
+        ((b"",), "parameter 1 of 1 has an empty name"),
+    ],
+    ids=["not-utf8", "repeated", "empty"],
+)
+def test_checkpoint_with_a_bad_name_names_file_and_index(tmp_path, names, message):
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(_checkpoint_of_names(*names))
+    with pytest.raises(ValueError, match=rf"ckpt\.bin: {message}$"):
+        ParamStore.load(path)
+
+
+def test_load_allocates_only_the_stores_arenas(tmp_path):
+    # the checkpoint with moments is 4.8 MB: a load that held the file as
+    # bytes besides the 6.4 MB of arenas would exceed the 1 MB of slack
+    rng = np.random.default_rng(3)
+    store = ParamStore([("w", rng.standard_normal((500, 400))), ("b", rng.standard_normal(400))])
+    store.accumulate_grad("w", np.ones((500, 400)))
+    store.adam_step(0.1)
+    path = tmp_path / "big.bin"
+    store.save(path)
+    tracemalloc.start()
+    try:
+        loaded = ParamStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arena_bytes = sum(arena.nbytes for arena in (loaded._value, loaded._grad, loaded._m, loaded._v))
+    assert peak <= arena_bytes + 2**20
+    for name in store.names():
+        assert np.array_equal(loaded[name], store[name])
+        for got, want in zip(loaded.moments(name), store.moments(name)):
+            assert np.array_equal(got, want)
 
 
 def test_checkpoint_truncated_in_a_header_names_file_and_parameter(tmp_path):
