@@ -18,8 +18,6 @@ from .model import (
     assign_clusters,
     decode,
     elbo_terms,
-    encode_view,
-    fuse_posteriors,
     fused_posterior,
     generate,
     model_inputs,

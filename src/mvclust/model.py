@@ -18,9 +18,10 @@ Fusion (the view weights, each exp(log sigma_v^2) and their combination),
 the mixture (log pi, means, clamped log-variances) and the responsibilities
 gamma are defined once, by the node builders ``fusion_nodes``,
 ``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
-``fuse_posteriors``, ``responsibilities`` and ``generate`` forward small
-graphs of them. One decoder graph decodes every view from one shared z, and
-every operation takes (n, d) matrices.
+``fused_posterior``, ``responsibilities`` and ``generate`` forward small
+graphs of them. ``fused_posterior`` forwards each view's encoder graph, then
+the ``fusion_nodes`` graph, on every chunk of rows. One decoder graph decodes
+every view from one shared z, and every operation takes (n, d) matrices.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -406,38 +408,6 @@ def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
     return dataset.matrices if model.normalization is None else model.normalization.apply(dataset.matrices)
 
 
-def encode_view(model: Model, view: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-view posterior statistics: (mean, log variance), each (n, J)."""
-    if not 0 <= view < model.config.n_views:
-        raise ValueError(f"view index {view} out of range")
-    arr = _check_batch(x, model.config.view_dims[view], f"view {view} input")
-    values = forward(model.encoder_graph(view), {"x": arr}, model.params)
-    return values["mu"], values["logvar"]
-
-
-@functools.cache
-def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
-    g = Graph()
-    return g, *fusion_nodes(g, [(g.input(f"mu{v}"), g.input(f"logvar{v}")) for v in range(n_views)])
-
-
-def fuse_posteriors(per_view, logits) -> LatentPosterior:
-    """Fuse per-view (mean, log-variance) pairs, as ``encode_view`` returns
-    them, all of view 0's mean shape, under the view weights of the fusion
-    ``logits``; the ELBO graph's own ``fusion_nodes`` do the arithmetic."""
-    if len(per_view) != len(logits):
-        raise ValueError(f"expected {len(logits)} views, got {len(per_view)} (all views are required)")
-    inputs = {}
-    shape = np.shape(per_view[0][0])
-    for v, (mu_v, logvar_v) in enumerate(per_view):
-        if not np.shape(mu_v) == np.shape(logvar_v) == shape:
-            raise ValueError(f"view {v} mean and log-variance must both have view 0's mean shape {shape}")
-        inputs[f"mu{v}"], inputs[f"logvar{v}"] = mu_v, logvar_v
-    g, mu, var = _fusion_graph(len(per_view))
-    values = forward(g, inputs, {"fusion_logits": logits})
-    return LatentPosterior(values[mu], values[var])
-
-
 def decode(model: Model, z) -> list[np.ndarray]:
     """Decoded mean of every view for each z row, one (n, d_v) matrix per
     view: the clipped Bernoulli probabilities or the Gaussian means."""
@@ -469,19 +439,31 @@ def responsibilities(z, mixture) -> np.ndarray:
     return forward(g, {"z": _check_batch(z, J, "z")}, mixture)[gamma]
 
 
+@functools.cache
+def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
+    g = Graph()
+    return g, *fusion_nodes(g, [(g.input(f"mu{v}"), g.input(f"logvar{v}")) for v in range(n_views)])
+
+
 def fused_posterior(model: Model, views) -> LatentPosterior:
-    """Encode every view and fuse; ``views`` is one matrix per view."""
+    """Encode every view and fuse; ``views`` is one matrix per view. Each
+    chunk of rows forwards every view's encoder graph, keeping only its mean
+    and log-variance, then the ``fusion_nodes`` graph under ``fusion_logits``."""
     m = model.config.n_views
     mats = _check_views(model, views)
     n = mats[0].shape[0]
+    g, mu, var = _fusion_graph(m)
     means = np.empty((n, model.config.latent_dim))
     variances = np.empty((n, model.config.latent_dim))
     for start in range(0, n, _INFER_CHUNK):
         sl = slice(start, min(n, start + _INFER_CHUNK))
-        per_view = [encode_view(model, v, mats[v][sl]) for v in range(m)]
-        post = fuse_posteriors(per_view, model.params["fusion_logits"])
-        means[sl] = post.mean
-        variances[sl] = post.var
+        per_view = {}
+        for v in range(m):
+            # each value table is a temporary, so one is alive at a time
+            per_view[f"mu{v}"], per_view[f"logvar{v}"] = itemgetter("mu", "logvar")(
+                forward(model.encoder_graph(v), {"x": mats[v][sl]}, model.params)
+            )
+        means[sl], variances[sl] = itemgetter(mu, var)(forward(g, per_view, model.params))
     return LatentPosterior(means, variances)
 
 
@@ -530,6 +512,8 @@ def generate(model: Model, cluster: int, noise) -> list[np.ndarray]:
     """Draw one z per ``noise`` row from prior component ``cluster``; returns
     every view's decoded means from it (no binarization for Bernoulli views)."""
     K = model.config.n_clusters
+    if isinstance(cluster, bool) or not isinstance(cluster, (int, np.integer)):
+        raise ValueError(f"cluster must be an integer index, got {cluster!r}")
     if not 0 <= cluster < K:
         raise ValueError(f"cluster index {cluster} out of range [0, {K})")
     g, z = _draw_graph(cluster)

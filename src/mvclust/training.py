@@ -170,6 +170,8 @@ def kmeans(points, n_clusters: int, seed: int) -> KMeansResult:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a (n, d) matrix")
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if points.shape[0] < n_clusters:
         raise ValueError(f"need at least {n_clusters} points, got {points.shape[0]}")
     best = None

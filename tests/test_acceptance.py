@@ -21,7 +21,7 @@ from mvclust import (
     accuracy,
     ari,
     elbo_terms,
-    encode_view,
+    fused_posterior,
     hungarian,
     load_dataset,
     nmi,
@@ -90,9 +90,9 @@ def test_criterion_2_elbo_term_quadrature():
     terms = elbo_terms(model, [x], np.array([[[eps_value]]]))
     implementation = float((terms["gauss_kl"] + terms["cat_kl"] + terms["entropy"])[0])
 
-    mu, logvar = encode_view(model, 0, x)
-    mu_t = float(mu[0, 0])
-    var_t = float(np.exp(logvar[0, 0]))
+    post = fused_posterior(model, [x])  # one view: its weight is exactly 1.0
+    mu_t = float(post.mean[0, 0])
+    var_t = float(post.var[0, 0])
     z = mu_t + math.sqrt(var_t) * eps_value
     weights, means, variances = mixture_moments(model.params)
     gamma = gamma_direct(np.array([z]), weights, means, variances)

@@ -2,11 +2,14 @@
 assignment, the ELBO objective under both likelihoods, generation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mvclust import (
+    Graph,
+    LatentPosterior,
     Model,
     ModelConfig,
     NumericError,
@@ -15,16 +18,14 @@ from mvclust import (
     backward,
     decode,
     elbo_terms,
-    encode_view,
     forward,
-    fuse_posteriors,
     fused_posterior,
     generate,
     model_inputs,
     responsibilities,
 )
 from mvclust.data import MultiViewDataset, normalize
-from mvclust.model import BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN
+from mvclust.model import _INFER_CHUNK, BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, fusion_nodes
 
 from helpers import gamma_direct, mixture_moments, mixture_params, random_views, randomized_model, softmax, tiny_config
 
@@ -36,12 +37,38 @@ def zero_model(config):
     return model
 
 
-# -- encode_view ----------------------------------------------------------------
+def encode(model, view, x):
+    """(mean, clamped log-variance) of view ``view``'s encoder graph on ``x``."""
+    values = forward(model.encoder_graph(view), {"x": x}, model.params)
+    return values["mu"], values["logvar"]
+
+
+def fuse(per_view, logits):
+    """Forward ``fusion_nodes`` on per-view (mean, log-variance) pairs under the fusion ``logits``."""
+    g = Graph()
+    mu, var = fusion_nodes(g, [(g.input(f"mu{v}"), g.input(f"logvar{v}")) for v in range(len(per_view))])
+    inputs = {f"{k}{v}": a for v, pair in enumerate(per_view) for k, a in zip(("mu", "logvar"), pair)}
+    values = forward(g, inputs, {"fusion_logits": logits})
+    return LatentPosterior(values[mu], values[var])
+
+
+def numpy_fuse(per_view, logits):
+    """Fused (mean, variance) under weights exp(f - logsumexp f), summed view by view as the graph does."""
+    top = logits.max()
+    w = np.exp(logits - (np.log(np.sum(np.exp(logits - top))) + top))
+    mu, var = w[0] * per_view[0][0], w[0] * np.exp(per_view[0][1])
+    for v in range(1, len(per_view)):
+        mu = mu + w[v] * per_view[v][0]
+        var = var + w[v] * np.exp(per_view[v][1])
+    return mu, var
+
+
+# -- encoders -------------------------------------------------------------------
 
 
 def test_encode_zero_network():
     model = zero_model(tiny_config("bernoulli"))
-    mu, logvar = encode_view(model, 0, np.random.default_rng(0).uniform(0, 1, (3, 4)))
+    mu, logvar = encode(model, 0, np.random.default_rng(0).uniform(0, 1, (3, 4)))
     assert np.all(mu == 0.0)
     assert np.all(logvar == 0.0)  # variance 1
 
@@ -56,7 +83,7 @@ def test_encode_hand_set_toy():
     model.params.set_value("enc0_b0", [0.2])
     model.params.set_value("enc0_w1", [[2.0, -3.0]])
     model.params.set_value("enc0_b1", [0.05, 0.1])
-    mu, logvar = encode_view(model, 0, [[1.0, 0.6]])
+    mu, logvar = encode(model, 0, [[1.0, 0.6]])
     # relu(0.5 - 0.6 + 0.2) = 0.1; head: mu = 0.25, logvar = -0.2
     assert mu.reshape(-1) == pytest.approx([0.25], abs=1e-12)
     assert logvar.reshape(-1) == pytest.approx([-0.2], abs=1e-12)
@@ -65,30 +92,30 @@ def test_encode_hand_set_toy():
 def test_encode_duplicate_rows_identical():
     model = randomized_model(tiny_config("gaussian"), seed=5)
     x = np.random.default_rng(1).standard_normal(5)
-    mu, logvar = encode_view(model, 1, np.stack([x, x]))
+    mu, logvar = encode(model, 1, np.stack([x, x]))
     assert np.array_equal(mu[0], mu[1])
     assert np.array_equal(logvar[0], logvar[1])
 
 
 def test_encode_dimension_mismatch():
     model = zero_model(tiny_config("bernoulli"))
-    with pytest.raises(ValueError):
-        encode_view(model, 0, np.zeros((2, 5)))  # view 0 expects d=4
+    with pytest.raises(ValueError, match=r"view 0 must be \(n, 4\)"):
+        fused_posterior(model, [np.zeros((2, 5)), np.zeros((2, 5))])  # view 0 expects d=4
 
 
-# -- fuse_posteriors --------------------------------------------------------------
+# -- fusion -----------------------------------------------------------------------
 
 
 def test_fuse_single_view_is_identity():
     mu = np.array([[1.0, 2.0]])
     logvar = np.log([[0.5, 3.0]])
-    post = fuse_posteriors([(mu, logvar)], np.zeros(1))
+    post = fuse([(mu, logvar)], np.zeros(1))
     assert np.array_equal(post.mean, mu)
     assert np.array_equal(post.var, np.exp(logvar))
 
 
 def test_fuse_equal_weights_arithmetic():
-    post = fuse_posteriors(
+    post = fuse(
         [
             (np.array([[0.0, 2.0]]), np.log([[1.0, 1.0]])),
             (np.array([[2.0, 0.0]]), np.log([[3.0, 1.0]])),
@@ -103,7 +130,7 @@ def test_fuse_matches_scripted_convex_combination():
     rng = np.random.default_rng(8)
     logits = rng.standard_normal(3)
     stats = [(rng.standard_normal((6, 4)), np.log(rng.uniform(0.1, 2.0, (6, 4)))) for _ in range(3)]
-    post = fuse_posteriors(stats, logits)
+    post = fuse(stats, logits)
     w = np.exp(logits - logits.max())
     w /= w.sum()
     mu = sum(w[v] * stats[v][0] for v in range(3))
@@ -117,8 +144,8 @@ def test_fuse_permuting_views_with_weights_is_invariant():
     logits = rng.standard_normal(3)
     stats = [(rng.standard_normal((2, 3)), np.log(rng.uniform(0.1, 2.0, (2, 3)))) for _ in range(3)]
     perm = [2, 0, 1]
-    post = fuse_posteriors(stats, logits)
-    post_p = fuse_posteriors([stats[i] for i in perm], logits[perm])
+    post = fuse(stats, logits)
+    post_p = fuse([stats[i] for i in perm], logits[perm])
     assert post_p.mean == pytest.approx(post.mean, abs=1e-12)
     assert post_p.var == pytest.approx(post.var, abs=1e-12)
 
@@ -131,36 +158,17 @@ def test_fuse_equals_numpy_convex_combination_exactly(n_views):
     random_logits = 3.0 * rng.standard_normal(n_views)
     stats = [(rng.standard_normal((7, 4)), np.log(rng.uniform(0.1, 2.0, (7, 4)))) for _ in range(n_views)]
     for logits in (random_logits, np.zeros(n_views)):  # 6 zero logits weigh 0.16666666666666669, not 1/6
-        post = fuse_posteriors(stats, logits)
-        top = logits.max()
-        w = np.exp(logits - (np.log(np.sum(np.exp(logits - top))) + top))
-        mu, var = w[0] * stats[0][0], w[0] * np.exp(stats[0][1])
-        for v in range(1, n_views):
-            mu = mu + w[v] * stats[v][0]
-            var = var + w[v] * np.exp(stats[v][1])
+        post = fuse(stats, logits)
+        mu, var = numpy_fuse(stats, logits)
         assert np.array_equal(post.mean, mu)
         assert np.array_equal(post.var, var)
 
 
 def test_fuse_missing_view_and_bad_variance():
-    stats = [(np.zeros((1, 2)), np.ones((1, 2)))]
-    with pytest.raises(ValueError, match="views"):
-        fuse_posteriors(stats, np.zeros(2))
+    # a missing view is fused_posterior's check (test_fusion_and_elbo_require_all_views_of_one_length);
     # every finite log-variance is a valid one; a non-finite one is refused
     with pytest.raises(NumericError, match="'logvar0'"):
-        fuse_posteriors([(np.zeros((1, 2)), np.array([[0.0, np.inf]]))], np.zeros(1))
-
-
-@pytest.mark.parametrize(
-    "shapes",
-    [((2, 3), (1, 3), (2, 3), (2, 3)), ((2, 3), (2, 3), (2, 3), (2, 1)), ((2, 3), (2, 3), (1, 3), (1, 3))],
-    ids=["broadcastable-variance", "second-view-variance", "second-view-pair"],
-)
-def test_fuse_rejects_a_mean_and_variance_of_other_shapes(shapes):
-    # shapes of mean 0, log-variance 0, mean 1, log-variance 1; numpy would broadcast each
-    mu0, var0, mu1, var1 = (np.ones(shape) for shape in shapes)
-    with pytest.raises(ValueError, match=r"view \d mean and log-variance must both have view 0's mean shape \(2, 3\)"):
-        fuse_posteriors([(mu0, var0), (mu1, var1)], np.zeros(2))
+        fuse([(np.zeros((1, 2)), np.array([[0.0, np.inf]]))], np.zeros(1))
 
 
 def test_fusion_weights_always_on_simplex():
@@ -168,7 +176,7 @@ def test_fusion_weights_always_on_simplex():
     rng = np.random.default_rng(10)
     stats = [(np.eye(5)[v : v + 1], np.zeros((1, 5))) for v in range(5)]
     for scale in (0.1, 10.0, 300.0):
-        w = fuse_posteriors(stats, scale * rng.standard_normal(5)).mean[0]
+        w = fuse(stats, scale * rng.standard_normal(5)).mean[0]
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -372,14 +380,25 @@ def test_assign_matches_composed_oracles():
     views = random_views(config, 9, seed=13)
     labels = assign_clusters(model, views)
 
-    stats = [encode_view(model, v, views[v]) for v in range(config.n_views)]
-    post = fuse_posteriors(stats, model.params["fusion_logits"])
+    stats = [_numpy_encode(model, v, views[v]) for v in range(config.n_views)]
+    mu, _ = numpy_fuse(stats, model.params["fusion_logits"])
     weights, means, variances = mixture_moments(model.params)
-    expected = [
-        int(np.argmax(gamma_direct(z, weights, means, variances)))
-        for z in post.mean
-    ]
+    expected = [int(np.argmax(gamma_direct(z, weights, means, variances))) for z in mu]
     assert np.array_equal(labels, expected)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_inference_across_a_chunk_boundary_equals_the_chunks_apart(kind):
+    config = tiny_config(kind)
+    model = randomized_model(config, seed=20)
+    views = random_views(config, _INFER_CHUNK + 5, seed=21)
+    pieces = [[mat[rows] for mat in views] for rows in (slice(None, _INFER_CHUNK), slice(_INFER_CHUNK, None))]
+    post = fused_posterior(model, views)
+    apart = [fused_posterior(model, piece) for piece in pieces]
+    assert np.array_equal(post.mean, np.concatenate([p.mean for p in apart]))
+    assert np.array_equal(post.var, np.concatenate([p.var for p in apart]))
+    labels = assign_clusters(model, views)
+    assert np.array_equal(labels, np.concatenate([assign_clusters(model, piece) for piece in pieces]))
 
 
 def test_model_inputs_rejects_other_view_dims():
@@ -526,9 +545,9 @@ def test_elbo_nonrecon_terms_match_quadrature():
     terms = elbo_terms(model, [x], eps)
     implementation = float((terms["gauss_kl"] + terms["cat_kl"] + terms["entropy"])[0])
 
-    mu, logvar = encode_view(model, 0, x)
-    mu_t = float(mu[0, 0])
-    var_t = float(np.exp(logvar[0, 0]))
+    post = fused_posterior(model, [x])  # one view: its weight is exactly 1.0
+    mu_t = float(post.mean[0, 0])
+    var_t = float(post.var[0, 0])
     z = mu_t + math.sqrt(var_t) * 0.37
     weights, means, variances = mixture_moments(model.params)
     gamma = gamma_direct(np.array([z]), weights, means, variances)
@@ -761,15 +780,24 @@ def test_generate_bad_cluster_index():
         generate(model, 3, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("cluster", [1.5, True, np.float64(1.0)], ids=["float", "bool", "numpy-float"])
+def test_generate_rejects_a_cluster_that_is_not_an_integer(cluster):
+    # int() would read each as component 1
+    model = zero_model(tiny_config("bernoulli"))
+    with pytest.raises(ValueError, match=re.escape(f"cluster must be an integer index, got {cluster!r}")):
+        generate(model, cluster, np.zeros((1, 2)))
+    assert generate(model, np.int64(1), np.zeros((1, 2)))[0].shape == (1, 4)
+
+
 @pytest.mark.parametrize(
     "call, dim",
     [
-        (lambda model: encode_view(model, 0, np.zeros(4)), 4),
+        (lambda model: fused_posterior(model, [np.zeros(4), np.zeros((1, 5))]), 4),
         (lambda model: decode(model, np.zeros(2)), 2),
         (lambda model: responsibilities(np.zeros(2), model.params), 2),
         (lambda model: generate(model, 0, np.zeros(2)), 2),
     ],
-    ids=["encode_view", "decode", "responsibilities", "generate"],
+    ids=["fused_posterior", "decode", "responsibilities", "generate"],
 )
 def test_inference_rejects_a_one_dimensional_row(call, dim):
     with pytest.raises(ValueError, match=rf"must be \(n, {dim}\), got shape \({dim},\)"):

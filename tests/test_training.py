@@ -153,6 +153,12 @@ def test_kmeans_rejects_too_few_points():
         kmeans(np.zeros((2, 3)), 5, seed=0)
 
 
+@pytest.mark.parametrize("n_clusters", [0, -1])
+def test_kmeans_rejects_fewer_than_one_cluster(n_clusters):
+    with pytest.raises(ValueError, match=f"n_clusters must be >= 1, got {n_clusters}"):
+        kmeans(np.zeros((4, 3)), n_clusters, seed=0)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(9)
     points = rng.standard_normal((50, 2))
@@ -309,10 +315,9 @@ def test_pretrain_recovers_low_rank_view():
     model = Model.initialize(mcfg, seed=1)
     pretrain_autoencoders(model, dataset, config)
 
-    from mvclust import decode, encode_view
+    from mvclust import decode, fused_posterior
 
-    mu, _ = encode_view(model, 0, dataset.matrices[0])
-    (recon,) = decode(model, mu)
+    (recon,) = decode(model, fused_posterior(model, dataset.matrices).mean)
     x = dataset.matrices[0]
     residual = ((x - recon) ** 2).mean()
     variance = ((x - x.mean(axis=0)) ** 2).mean()
