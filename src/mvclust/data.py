@@ -72,14 +72,6 @@ class NormalizationRecord:
             out.append((x - off) * sc)
         return out
 
-    def to_dict(self) -> dict:
-        return {"offsets": [o.tolist() for o in self.offsets], "scales": [s.tolist() for s in self.scales]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationRecord":
-        """The record of ``to_dict``'s keys; any other key is ignored."""
-        return cls(offsets=[as_tensor(o) for o in d["offsets"]], scales=[as_tensor(s) for s in d["scales"]])
-
 
 @dataclass
 class MultiViewDataset:

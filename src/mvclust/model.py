@@ -47,8 +47,6 @@ GAMMA_FLOOR = 1e-10
 
 PARAMS_FILE = "params.bin"
 DESCRIPTOR_FILE = "descriptor.json"
-# the JSON kind of each field of a descriptor's normalization record
-_RECORD_KINDS = {"offsets": "tuple[tuple[float, ...], ...]", "scales": "tuple[tuple[float, ...], ...]"}
 
 # batch size used when pushing whole datasets through the encoders
 _INFER_CHUNK = 4096
@@ -343,7 +341,8 @@ class Model:
         directory.mkdir(parents=True, exist_ok=True)
         descriptor = {"format_version": FORMAT_VERSION, "model": asdict(self.config)}
         if self.normalization is not None:
-            descriptor["normalization"] = self.normalization.to_dict()
+            record = self.normalization
+            descriptor["normalization"] = {k: [a.tolist() for a in getattr(record, k)] for k in ("offsets", "scales")}
         save_json(directory / DESCRIPTOR_FILE, descriptor)
         self.params.save(directory / PARAMS_FILE, include_moments=include_moments)
 
@@ -360,16 +359,20 @@ class Model:
             raise LoadError(f"{where} is invalid: {exc}") from None
         normalization = record = json_field(descriptor, "normalization", "dict | None", where)
         if record is not None:
-            fields = {k: json_field(record, k, kind, f"{where} normalization") for k, kind in _RECORD_KINDS.items()}
-            normalization = NormalizationRecord.from_dict(fields)
-            have = ([o.shape for o in normalization.offsets], [s.shape for s in normalization.scales])
+            kind, at = "tuple[tuple[float, ...], ...]", f"{where} normalization"
+            offsets, scales = ([as_tensor(a) for a in json_field(record, k, kind, at)] for k in ("offsets", "scales"))
+            normalization = NormalizationRecord(offsets, scales)
+            have = ([o.shape for o in offsets], [s.shape for s in scales])
             want = ([(d,) for d in config.view_dims],) * 2
             if have != want:
                 raise LoadError(f"{where}: normalization (offset shapes, scale shapes) {have} does not fit {want}")
-        params = ParamStore.load(directory / PARAMS_FILE)
-        expected = param_shapes(config)
-        if set(params.names()) != set(expected) or any(params[n].shape != s for n, s in expected.items()):
-            raise ValueError(f"parameter archive does not match descriptor in {directory}")
+        path = directory / PARAMS_FILE
+        params = ParamStore.load(path)
+        found, expected = {name: params[name].shape for name in params.names()}, param_shapes(config)
+        for name in sorted(found.keys() | expected.keys()):
+            have, want = found.get(name, "missing"), expected.get(name, "none")
+            if have != want:
+                raise LoadError(f"parameter archive {path}: {name} is {have}, the descriptor gives {want}")
         return cls(config, params, normalization)
 
 
@@ -477,11 +480,11 @@ def assign_clusters(model: Model, views) -> np.ndarray:
     return np.argmax(gamma, axis=1)
 
 
-def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
-    """Forward the objective graph on ``noise`` of shape (n_samples, n, J);
-    returns per-sample term arrays and the scalar batch-mean ELBO under keys
-    recon/gauss_kl/cat_kl/entropy/elbo_samples/elbo. Bernoulli models
-    require data in [0, 1]."""
+def elbo_terms(model: Model, views, noise) -> dict:
+    """Forward the objective graph of L draws on ``noise`` of shape (L, n, J),
+    L >= 1, which sets L; returns per-sample term arrays and the scalar
+    batch-mean ELBO under keys recon/gauss_kl/cat_kl/entropy/elbo_samples/elbo.
+    Bernoulli models require data in [0, 1]."""
     mats = _check_views(model, views)
     if mats[0].shape[0] == 0:
         raise ValueError("the objective needs at least one row, got an empty batch")
@@ -489,12 +492,12 @@ def elbo_terms(model: Model, views, noise, n_samples: int = 1) -> dict:
         for v, arr in enumerate(mats):
             if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
                 raise ValueError(f"view {v} data must lie in [0, 1] for the Bernoulli objective")
-    eps, shape = as_tensor(noise), (n_samples, mats[0].shape[0], model.config.latent_dim)
-    if eps.shape != shape:
-        raise ValueError(f"noise must have shape {shape}, got {eps.shape}")
+    eps, shape = as_tensor(noise), (mats[0].shape[0], model.config.latent_dim)
+    if eps.ndim != 3 or eps.shape[0] < 1 or eps.shape[1:] != shape:
+        raise ValueError(f"noise must have shape (L, {shape[0]}, {shape[1]}) with L >= 1, got {eps.shape}")
     inputs = {f"x{v}": mat for v, mat in enumerate(mats)}
-    inputs.update({f"eps{l}": eps[l] for l in range(n_samples)})
-    values = forward(model.elbo_graph(n_samples), inputs, model.params)
+    inputs.update({f"eps{l}": draw for l, draw in enumerate(eps)})
+    values = forward(model.elbo_graph(len(eps)), inputs, model.params)
     keys = ("recon", "gauss_kl", "cat_kl", "entropy", "elbo_samples", "elbo")
     return {k: values[k] for k in keys}
 

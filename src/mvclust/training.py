@@ -22,13 +22,11 @@ from .model import (
     Model,
     ModelConfig,
     _enc,
-    _layer_widths,
     assign_clusters,
     check_architecture,
     decoder_nodes,
     encoder_nodes,
     fused_posterior,
-    param_shapes,
 )
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
 from .numgrad.params import write_atomic
@@ -170,6 +168,8 @@ def kmeans(points, n_clusters: int, seed: int) -> KMeansResult:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a (n, d) matrix")
+    if isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer)):
+        raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if points.shape[0] < n_clusters:
@@ -247,30 +247,30 @@ def _pretrain(graph, views: dict, fresh, X, epochs, config, stream, where) -> li
 def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: TrainConfig) -> dict:
     """Greedy layer-wise pretraining, then per-view end-to-end fine-tuning.
 
-    Each encoder layer is trained against a throwaway transposed decoder
-    layer under squared error; the trained weights are written back through
-    views of the model store (the mean half only for the posterior head,
+    Each encoder layer of the model store, one stage per layer, is trained
+    against a throwaway transposed decoder layer under squared error, its
+    widths read from the stored weight; the trained weights are written back
+    through views of the store (the mean half only for the posterior head,
     whose log-variance half stays zero, i.e. variance 1). Fine-tuning then
     trains the real encoder/decoder stacks of the view jointly. Every stage
     computes in the model store's dtype. Returns per-view loss histories for diagnostics.
     """
     mcfg = model.config
     histories = {}
+    n_stages = len(mcfg.encoder_hidden) + 1
     for v in range(mcfg.n_views):
         X = dataset.matrices[v].astype(model.params.dtype, copy=False)
-        enc_widths, _ = _layer_widths(mcfg, v)
-        greedy_out = enc_widths[:-1] + [mcfg.latent_dim]  # head trains its mean half
-        n_stages = len(greedy_out) - 1
         current = X
         stage_losses = []
         for stage in range(n_stages):
-            fan_in, fan_out = greedy_out[stage], greedy_out[stage + 1]
             hidden = stage < n_stages - 1
             # the encoder side starts from and returns to the model's own
             # weights (for the head, its mean half [:, :J]); only the
             # throwaway transposed decoder layer is fresh
-            w = model.params[_enc(v, stage, "w")][:, :fan_out]
-            b = model.params[_enc(v, stage, "b")][:fan_out]
+            w, b = (model.params[_enc(v, stage, kind)] for kind in "wb")
+            if not hidden:
+                w, b = w[:, : mcfg.latent_dim], b[: mcfg.latent_dim]
+            fan_in, fan_out = w.shape
             rng = rng_for(config.seed, "pretrain-init", v, stage)
             fresh = [("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))), ("db", np.zeros(fan_in))]
             graph = _mse_graph_pair(hidden_relu=hidden)
@@ -280,7 +280,8 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             if hidden:
                 current = np.maximum(current @ w + b, 0.0)
 
-        views = {name: model.params[name] for name in param_shapes(mcfg) if name.startswith((f"enc{v}_", f"dec{v}_"))}
+        prefixes = (f"enc{v}_", f"dec{v}_")
+        views = {name: model.params[name] for name in model.params.names() if name.startswith(prefixes)}
         stream, where = ("finetune", v), f"finetune view {v}"
         fine_losses = _pretrain(_finetune_graph(mcfg, v), views, (), X, config.finetune_epochs, config, stream, where)
         histories[v] = {"greedy": stage_losses, "finetune": fine_losses}

@@ -525,6 +525,24 @@ def test_generate_rejects_a_seed_outside_64_bits(workspace, tmp_path, capsys, se
     assert not out.exists()
 
 
+def test_generate_of_no_samples_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "gen"
+    argv = ["generate", "--model", str(workspace["model"]), "--cluster", "0", "--count", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --count must be >= 1\n"
+    assert not out.exists()
+
+
+def test_descriptor_of_an_invalid_model_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    shutil.copytree(workspace["model"], model_dir)
+    path = _damage_descriptor(model_dir, lambda d: d["model"].update(latent_dim=0))
+    out = tmp_path / "l.txt"
+    assert main(["assign", "--model", str(model_dir), "--manifest", str(workspace["manifest"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: model descriptor {path} is invalid: latent_dim must be >= 1\n"
+    assert not out.exists()
+
+
 def test_synth_manifest_loads_back(workspace):
     dataset = load_dataset(workspace["manifest"])
     assert dataset.n == 120

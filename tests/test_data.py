@@ -86,6 +86,20 @@ def test_ragged_csv_names_both_rows_counted_from_0(tmp_path):
         assert str(caught.value) == f"view 'v0': {tmp_path / 'v0.csv'} row {row} has {cells} cells, row 0 has 2"
 
 
+def test_labels_file_of_another_count_names_both_counts(tmp_path):
+    path = _write_dataset(tmp_path, [np.zeros((12, 2))], labels=[0, 1])
+    with pytest.raises(LoadError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"labels file {tmp_path / 'labels.txt'} has 2 entries, expected 12"
+
+
+def test_manifest_naming_an_unknown_likelihood_is_refused(tmp_path):
+    path = _write_dataset(tmp_path, [np.zeros((3, 2))], likelihood="poisson")
+    with pytest.raises(LoadError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"manifest {path}: unknown likelihood 'poisson'"
+
+
 def test_labels_with_crlf_line_ends_read(tmp_path):
     path = _write_dataset(tmp_path, [np.zeros((3, 2))], labels=[0, 1, 1])
     (tmp_path / "labels.txt").write_bytes(b"0\r\n1\r\n\r\n1\r\n")
@@ -194,6 +208,11 @@ def test_a_seed_outside_64_bits_is_rejected_not_aliased(seed):
         rng_for(seed, "synth")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         synth_generate(2, 2, 10, 2, separation=3.0, view_dims=(3, 3), seed=seed)
+
+
+def test_synth_needs_one_dim_per_view():
+    with pytest.raises(ValueError, match=r"^need 3 view dims, got 2$"):
+        synth_generate(n_clusters=2, n_views=3, n=10, latent_dim=2, separation=1.0, view_dims=(4, 5), seed=0)
 
 
 def test_synth_zero_separation_means_coincide():

@@ -10,6 +10,7 @@ import pytest
 from mvclust import (
     Graph,
     LatentPosterior,
+    LoadError,
     Model,
     ModelConfig,
     NumericError,
@@ -487,6 +488,15 @@ def test_elbo_terms_rejects_out_of_range_bernoulli_data():
         elbo_terms(model, views, np.zeros((1, 2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (0, 4, 2), (1, 3, 2), (1, 4, 3), (1, 1, 4, 2)])
+def test_elbo_terms_rejects_noise_of_another_shape(shape):
+    model = zero_model(tiny_config("gaussian"))
+    views = random_views(tiny_config("gaussian"), 4, seed=3)
+    with pytest.raises(ValueError) as caught:
+        elbo_terms(model, views, np.zeros(shape))
+    assert str(caught.value) == f"noise must have shape (L, 4, 2) with L >= 1, got {shape}"
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
 def test_elbo_terms_rejects_an_empty_batch(kind):
     model = zero_model(tiny_config(kind))
@@ -735,7 +745,7 @@ def test_elbo_multi_sample_averages_branches():
     model = randomized_model(config, seed=23)
     views = random_views(config, 4, seed=24)
     eps = np.random.default_rng(25).standard_normal((3, 4, 2))
-    combined = float(elbo_terms(model, views, eps, n_samples=3)["elbo"])
+    combined = float(elbo_terms(model, views, eps)["elbo"])
     singles = [float(elbo_terms(model, views, eps[l : l + 1])["elbo"]) for l in range(3)]
     assert combined == pytest.approx(np.mean(singles), abs=1e-10)
 
@@ -879,8 +889,10 @@ def test_model_archive_wrong_shape_detected(tmp_path):
     values["enc1_b0"] = np.zeros(values["enc1_b0"].shape[0] + 1)
     store = ParamStore(values.items())
     store.save(tmp_path / "m" / "params.bin", include_moments=False)
-    with pytest.raises(ValueError, match="archive"):
+    with pytest.raises(LoadError) as caught:
         Model.load(tmp_path / "m")
+    archive = tmp_path / "m" / "params.bin"
+    assert str(caught.value) == f"parameter archive {archive}: enc1_b0 is (7,), the descriptor gives (6,)"
 
 
 def test_model_archive_mismatch_detected(tmp_path):
@@ -888,5 +900,21 @@ def test_model_archive_mismatch_detected(tmp_path):
     model.save(tmp_path / "m")
     other = randomized_model(tiny_config("bernoulli"), seed=31)
     other.params.save(tmp_path / "m" / "params.bin", include_moments=False)
-    with pytest.raises(ValueError, match="archive"):
+    # the first name in sorted order whose shape differs: view 0's decoder head bias
+    with pytest.raises(LoadError, match=r"archive .*params\.bin: dec0_b2 is \(4,\), the descriptor gives \(8,\)$"):
         Model.load(tmp_path / "m")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda values: values.pop("gmm_means"), "gmm_means is missing, the descriptor gives (3, 2)"),
+    (lambda values: values.update(extra=np.zeros(2)), "extra is (2,), the descriptor gives none"),
+], ids=["missing", "extra"])
+def test_model_archive_with_a_parameter_missing_or_extra_names_it(tmp_path, edit, named):
+    model = randomized_model(tiny_config("gaussian"), seed=34)
+    model.save(tmp_path / "m")
+    values = {name: model.params[name] for name in model.params.names()}
+    edit(values)
+    ParamStore(values.items()).save(tmp_path / "m" / "params.bin", include_moments=False)
+    with pytest.raises(LoadError) as caught:
+        Model.load(tmp_path / "m")
+    assert str(caught.value) == f"parameter archive {tmp_path / 'm' / 'params.bin'}: {named}"

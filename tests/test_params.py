@@ -30,6 +30,14 @@ def test_duplicate_and_bad_names_rejected():
         ParamStore([("", np.ones(2))])
 
 
+def test_set_value_of_another_shape_is_refused_and_keeps_the_value():
+    store = _store_with(value=np.ones((2, 3)))
+    with pytest.raises(ValueError) as caught:
+        store.set_value("p", np.zeros((3, 2)))
+    assert str(caught.value) == "shape mismatch for 'p': (3, 2) vs (2, 3)"
+    assert np.all(store["p"] == 1.0)
+
+
 def test_views_share_memory_with_the_arena():
     store = ParamStore([("a", np.ones((2, 3))), ("b", np.arange(4.0))])
     for name in store.names():

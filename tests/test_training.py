@@ -159,6 +159,18 @@ def test_kmeans_rejects_fewer_than_one_cluster(n_clusters):
         kmeans(np.zeros((4, 3)), n_clusters, seed=0)
 
 
+@pytest.mark.parametrize("n_clusters", [2.5, True, np.float64(2.0), "2"], ids=["float", "bool", "numpy-float", "str"])
+def test_kmeans_rejects_a_cluster_count_that_is_not_an_integer(n_clusters):
+    with pytest.raises(ValueError) as caught:
+        kmeans(np.zeros((4, 3)), n_clusters, seed=0)
+    assert str(caught.value) == f"n_clusters must be an integer, got {n_clusters!r}"
+
+
+def test_kmeans_rejects_points_that_are_not_a_matrix():
+    with pytest.raises(ValueError, match=r"points must be a \(n, d\) matrix"):
+        kmeans(np.zeros(6), 2, seed=0)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(9)
     points = rng.standard_normal((50, 2))
