@@ -65,10 +65,10 @@ class NormalizationRecord:
         if len(matrices) != len(self.offsets):
             raise ValueError(f"record covers {len(self.offsets)} views, got {len(matrices)}")
         out = []
-        for x, off, sc in zip(matrices, self.offsets, self.scales):
+        for v, (x, off, sc) in enumerate(zip(matrices, self.offsets, self.scales)):
             x = as_tensor(x)
-            if x.shape[1] != off.shape[0]:
-                raise ValueError(f"record expects {off.shape[0]} features, got {x.shape[1]}")
+            if x.ndim != 2 or x.shape[1] != off.shape[0]:
+                raise ValueError(f"view {v} must be (n, {off.shape[0]}), got shape {x.shape}")
             out.append((x - off) * sc)
         return out
 

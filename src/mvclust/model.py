@@ -19,9 +19,9 @@ the mixture (log pi, means, clamped log-variances) and the responsibilities
 gamma are defined once, by the node builders ``fusion_nodes``,
 ``mixture_nodes`` and ``_gamma_nodes``: the ELBO graph calls them, and
 ``fused_posterior``, ``responsibilities`` and ``generate`` forward small
-graphs of them. ``fused_posterior`` forwards each view's encoder graph, then
-the ``fusion_nodes`` graph, on every chunk of rows. One decoder graph decodes
-every view from one shared z, and every operation takes (n, d) matrices.
+graphs of them. Every inference call forwards its graphs over chunks of rows,
+holding one chunk's value table plus what it returns. One decoder graph
+decodes every view from one shared z; every operation takes (n, d) matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ GAMMA_FLOOR = 1e-10
 PARAMS_FILE = "params.bin"
 DESCRIPTOR_FILE = "descriptor.json"
 
-# batch size used when pushing whole datasets through the encoders
+# rows per inference forward: one chunk's value table is all an inference call holds besides its result
 _INFER_CHUNK = 4096
 
 
@@ -64,7 +63,8 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (2000, 500, 500)
 
     def __post_init__(self):
-        object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
+        dims = tuple(check_int(f"view_dims[{v}]", d) for v, d in enumerate(self.view_dims))
+        object.__setattr__(self, "view_dims", dims)
         if not self.view_dims or any(d < 1 for d in self.view_dims):
             raise ValueError(f"view_dims must be positive, got {self.view_dims}")
         check_architecture(self)
@@ -76,13 +76,23 @@ class ModelConfig:
         return len(self.view_dims)
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int; it must be an int or a numpy integer, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_architecture(config) -> None:
-    """Check the fields every model config has, naming the offender; cast the hidden widths to int tuples."""
+    """Check the fields every model config has, naming the offender; cast
+    latent_dim and n_clusters to int and the hidden widths to int tuples."""
     for name in ("encoder_hidden", "decoder_hidden"):
-        object.__setattr__(config, name, tuple(int(w) for w in getattr(config, name)))
-        if any(w < 1 for w in getattr(config, name)):
-            raise ValueError(f"{name} widths must be >= 1, got {getattr(config, name)}")
+        widths = tuple(check_int(f"{name}[{i}]", w) for i, w in enumerate(getattr(config, name)))
+        object.__setattr__(config, name, widths)
+        if any(w < 1 for w in widths):
+            raise ValueError(f"{name} widths must be >= 1, got {widths}")
     for name in ("latent_dim", "n_clusters"):
+        object.__setattr__(config, name, check_int(name, getattr(config, name)))
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
 
@@ -411,12 +421,28 @@ def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
     return dataset.matrices if model.normalization is None else model.normalization.apply(dataset.matrices)
 
 
+def _chunked(graph: Graph, inputs: dict, params, outputs) -> list[np.ndarray]:
+    """Forward ``graph`` in float64 on each ``_INFER_CHUNK`` rows of the (n, ...)
+    ``inputs``, one value table alive at a time; returns the named ``outputs``
+    as (n, ...) arrays. A batch of 0 rows still gets one forward."""
+    n, results = len(next(iter(inputs.values()))), None
+    for start in range(0, max(n, 1), _INFER_CHUNK):
+        rows = slice(start, start + _INFER_CHUNK)
+        values = forward(graph, {name: arr[rows] for name, arr in inputs.items()}, params)
+        if results is None:
+            results = [np.empty((n, *values[name].shape[1:])) for name in outputs]
+        for out, name in zip(results, outputs):
+            out[rows] = values[name]
+        del values  # before the next chunk's forward
+    return results
+
+
 def decode(model: Model, z) -> list[np.ndarray]:
     """Decoded mean of every view for each z row, one (n, d_v) matrix per
     view: the clipped Bernoulli probabilities or the Gaussian means."""
     arr = _check_batch(z, model.config.latent_dim, "latent z")
-    values = forward(model.decoder_graph(), {"z": arr}, model.params)
-    return [values[f"mu{v}"] for v in range(model.config.n_views)]
+    outputs = [f"mu{v}" for v in range(model.config.n_views)]
+    return _chunked(model.decoder_graph(), {"z": arr}, model.params, outputs)
 
 
 @functools.cache
@@ -439,7 +465,7 @@ def responsibilities(z, mixture) -> np.ndarray:
         raise ValueError(f"mix_logits, gmm_means, gmm_logvars must be (K,), (K, J), (K, J), got {shapes}")
     J = shapes[1][1]
     g, gamma = _gamma_graph(J)
-    return forward(g, {"z": _check_batch(z, J, "z")}, mixture)[gamma]
+    return _chunked(g, {"z": _check_batch(z, J, "z")}, mixture, [gamma])[0]
 
 
 @functools.cache
@@ -450,24 +476,13 @@ def _fusion_graph(n_views: int) -> tuple[Graph, str, str]:
 
 def fused_posterior(model: Model, views) -> LatentPosterior:
     """Encode every view and fuse; ``views`` is one matrix per view. Each
-    chunk of rows forwards every view's encoder graph, keeping only its mean
-    and log-variance, then the ``fusion_nodes`` graph under ``fusion_logits``."""
-    m = model.config.n_views
+    view's encoder graph runs over the chunks, keeping only its mean and
+    log-variance, then the ``fusion_nodes`` graph under ``fusion_logits``."""
     mats = _check_views(model, views)
-    n = mats[0].shape[0]
-    g, mu, var = _fusion_graph(m)
-    means = np.empty((n, model.config.latent_dim))
-    variances = np.empty((n, model.config.latent_dim))
-    for start in range(0, n, _INFER_CHUNK):
-        sl = slice(start, min(n, start + _INFER_CHUNK))
-        per_view = {}
-        for v in range(m):
-            # each value table is a temporary, so one is alive at a time
-            per_view[f"mu{v}"], per_view[f"logvar{v}"] = itemgetter("mu", "logvar")(
-                forward(model.encoder_graph(v), {"x": mats[v][sl]}, model.params)
-            )
-        means[sl], variances[sl] = itemgetter(mu, var)(forward(g, per_view, model.params))
-    return LatentPosterior(means, variances)
+    stats = [_chunked(model.encoder_graph(v), {"x": x}, model.params, ["mu", "logvar"]) for v, x in enumerate(mats)]
+    per_view = {f"{k}{v}": a for v, pair in enumerate(stats) for k, a in zip(("mu", "logvar"), pair)}
+    g, mu, var = _fusion_graph(model.config.n_views)
+    return LatentPosterior(*_chunked(g, per_view, model.params, [mu, var]))
 
 
 def assign_clusters(model: Model, views) -> np.ndarray:
@@ -520,4 +535,5 @@ def generate(model: Model, cluster: int, noise) -> list[np.ndarray]:
     if not 0 <= cluster < K:
         raise ValueError(f"cluster index {cluster} out of range [0, {K})")
     g, z = _draw_graph(cluster)
-    return decode(model, forward(g, {"eps": _check_batch(noise, model.config.latent_dim, "noise")}, model.params)[z])
+    eps = _check_batch(noise, model.config.latent_dim, "noise")
+    return decode(model, _chunked(g, {"eps": eps}, model.params, [z])[0])

@@ -24,6 +24,7 @@ from .model import (
     _enc,
     assign_clusters,
     check_architecture,
+    check_int,
     decoder_nodes,
     encoder_nodes,
     fused_posterior,
@@ -168,9 +169,7 @@ def kmeans(points, n_clusters: int, seed: int) -> KMeansResult:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a (n, d) matrix")
-    if isinstance(n_clusters, bool) or not isinstance(n_clusters, (int, np.integer)):
-        raise ValueError(f"n_clusters must be an integer, got {n_clusters!r}")
-    if n_clusters < 1:
+    if check_int("n_clusters", n_clusters) < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if points.shape[0] < n_clusters:
         raise ValueError(f"need at least {n_clusters} points, got {points.shape[0]}")

@@ -173,6 +173,14 @@ def test_record_reapplication_is_exact():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 4))], ids=["1-d", "wrong-width"])
+def test_record_apply_names_the_view_and_the_shape_it_wants(x):
+    record = normalize(MultiViewDataset("t", ["a", "b"], [np.ones((3, 2)), np.ones((3, 3))]), "gaussian").normalization
+    with pytest.raises(ValueError) as caught:
+        record.apply([np.ones((3, 2)), x])
+    assert str(caught.value) == f"view 1 must be (n, 3), got shape {x.shape}"
+
+
 def test_batch_iter_sizes_and_coverage():
     batches = batch_iter(5, 2, seed=0, epoch=0)
     assert [len(b) for b in batches] == [2, 2, 1]

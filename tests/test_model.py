@@ -3,6 +3,7 @@ assignment, the ELBO objective under both likelihoods, generation."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mvclust import (
     ModelConfig,
     NumericError,
     ParamStore,
+    TrainConfig,
     assign_clusters,
     backward,
     decode,
@@ -25,6 +27,7 @@ from mvclust import (
     model_inputs,
     responsibilities,
 )
+from mvclust import model as model_module
 from mvclust.data import MultiViewDataset, normalize
 from mvclust.model import _INFER_CHUNK, BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, fusion_nodes
 
@@ -400,6 +403,45 @@ def test_inference_across_a_chunk_boundary_equals_the_chunks_apart(kind):
     assert np.array_equal(post.var, np.concatenate([p.var for p in apart]))
     labels = assign_clusters(model, views)
     assert np.array_equal(labels, np.concatenate([assign_clusters(model, piece) for piece in pieces]))
+    z = np.random.default_rng(22).standard_normal((_INFER_CHUNK + 5, config.latent_dim))
+    halves = (z[:_INFER_CHUNK], z[_INFER_CHUNK:])
+    calls = (lambda z: decode(model, z), lambda z: [responsibilities(z, model.params)], lambda z: generate(model, 1, z))
+    for call in calls:
+        for whole, *apart in zip(call(z), *(call(half) for half in halves)):
+            assert np.array_equal(whole, np.concatenate(apart))
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of ``call()`` and its result, which stays alive."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_memory_grows_only_by_what_it_returns(monkeypatch):
+    monkeypatch.setattr(model_module, "_INFER_CHUNK", 256)
+    config = ModelConfig(view_dims=(20, 25), latent_dim=10, n_clusters=3, likelihood="gaussian",
+                         encoder_hidden=(64, 64, 32), decoder_hidden=(128, 64, 64))
+    model = randomized_model(config, seed=23)
+    views = random_views(config, 8 * 256, seed=24)
+    z = np.random.default_rng(25).standard_normal((8 * 256, config.latent_dim))
+    # bytes per row that fused_posterior holds besides its result: each view's means and log-variances
+    per_view = 2 * config.n_views * config.latent_dim * 8
+    calls = {
+        "decode": (lambda rows: decode(model, z[:rows]), 0),
+        "responsibilities": (lambda rows: [responsibilities(z[:rows], model.params)], 0),
+        "fused_posterior": (lambda rows: vars(fused_posterior(model, [x[:rows] for x in views])).values(), per_view),
+    }
+    for name, (call, held_per_row) in calls.items():
+        call(1)  # builds and caches the graphs outside the measurement
+        (peak2, out2), (peak8, out8) = _peak_bytes(lambda: call(2 * 256)), _peak_bytes(lambda: call(8 * 256))
+        returned = sum(a.nbytes for a in out8) - sum(a.nbytes for a in out2)
+        # from 2 to 8 chunks, each forward's value table stays one chunk's: a
+        # forward over every row at once would add megabytes here
+        assert peak8 - peak2 <= returned + 6 * 256 * held_per_row + 2**15, name
 
 
 def test_model_inputs_rejects_other_view_dims():
@@ -842,6 +884,36 @@ def test_model_config_validation():
         ModelConfig(view_dims=(3,), latent_dim=0, n_clusters=2, likelihood="bernoulli")
     with pytest.raises(ValueError):
         ModelConfig(view_dims=(3,), latent_dim=2, n_clusters=2, likelihood="poisson")
+
+
+_SIZE_FIELDS = [
+    (config_class, field)
+    for config_class in (ModelConfig, TrainConfig)
+    for field in ("latent_dim", "n_clusters", "view_dims", "encoder_hidden", "decoder_hidden")
+    if not (config_class is TrainConfig and field == "view_dims")  # a TrainConfig reads them from the dataset
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=["float", "bool", "numpy-float", "str"])
+@pytest.mark.parametrize("config_class, field", _SIZE_FIELDS, ids=[f"{c.__name__}-{f}" for c, f in _SIZE_FIELDS])
+def test_architecture_sizes_must_be_integers(config_class, field, value):
+    if config_class is TrainConfig:
+        args = {"n_clusters": 2}
+    else:
+        args = {"view_dims": (3, 4), "latent_dim": 2, "n_clusters": 2, "likelihood": "gaussian"}
+    sized = field in ("view_dims", "encoder_hidden", "decoder_hidden")
+    args[field] = (3, value) if sized else value
+    with pytest.raises(ValueError) as caught:
+        config_class(**args)
+    assert str(caught.value) == f"{field}{'[1]' if sized else ''} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_sizes_become_ints():
+    size = np.int64(3)
+    config = ModelConfig(view_dims=(size,), latent_dim=size, n_clusters=size, likelihood="gaussian",
+                         encoder_hidden=(size,), decoder_hidden=(size,))
+    sizes = (*config.view_dims, config.latent_dim, config.n_clusters, *config.encoder_hidden, *config.decoder_hidden)
+    assert all(type(size) is int for size in sizes)
 
 
 def test_model_archive_roundtrip(tmp_path):
