@@ -63,8 +63,7 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (2000, 500, 500)
 
     def __post_init__(self):
-        dims = tuple(check_int(f"view_dims[{v}]", d) for v, d in enumerate(self.view_dims))
-        object.__setattr__(self, "view_dims", dims)
+        object.__setattr__(self, "view_dims", check_ints("view_dims", self.view_dims))
         if not self.view_dims or any(d < 1 for d in self.view_dims):
             raise ValueError(f"view_dims must be positive, got {self.view_dims}")
         check_architecture(self)
@@ -83,11 +82,18 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_ints(name: str, value) -> tuple[int, ...]:
+    """``value`` as a tuple of ints; it must be a list or tuple of what ``check_int`` takes."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list or tuple, got {value!r}")
+    return tuple(check_int(f"{name}[{i}]", item) for i, item in enumerate(value))
+
+
 def check_architecture(config) -> None:
     """Check the fields every model config has, naming the offender; cast
     latent_dim and n_clusters to int and the hidden widths to int tuples."""
     for name in ("encoder_hidden", "decoder_hidden"):
-        widths = tuple(check_int(f"{name}[{i}]", w) for i, w in enumerate(getattr(config, name)))
+        widths = check_ints(name, getattr(config, name))
         object.__setattr__(config, name, widths)
         if any(w < 1 for w in widths):
             raise ValueError(f"{name} widths must be >= 1, got {widths}")
@@ -144,18 +150,19 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ParamStore:
     """He-initialized hidden layers, small linear heads, zeroed log-variance
-    head columns (so every variance starts at 1), drawn in float64 and
-    stored in ``dtype``."""
-    values = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    head columns (so every variance starts at 1) and zero biases; each
+    layer is drawn in float64 straight into its slice of a ``dtype`` store."""
+    store = ParamStore.zeros(param_shapes(config), dtype)
     for name, v, i, fan_in, fan_out, head in _dense_layers(config):
         scale = math.sqrt(1.0 / fan_in) if head else math.sqrt(2.0 / fan_in)
         rng = rng_for(seed, "init-enc" if name is _enc else "init-dec", v, i)
-        w = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        w = store[name(v, i, "w")]
+        w[...] = rng.normal(0.0, scale, size=(fan_in, fan_out))
         if head and (name is _enc or config.likelihood == "gaussian"):
             w[:, fan_out // 2 :] = 0.0  # the log-variance half of a (mean, log-variance) head
-        values[name(v, i, "w")] = w
-    values["gmm_means"] = 0.01 * rng_for(seed, "init-gmm").normal(size=values["gmm_means"].shape)
-    return ParamStore(values.items(), dtype=dtype)
+    means = store["gmm_means"]
+    means[...] = 0.01 * rng_for(seed, "init-gmm").normal(size=means.shape)
+    return store
 
 
 # -- graph builders -----------------------------------------------------------

@@ -5,7 +5,7 @@ live in three namespaces: declared graph inputs (bound per call), declared
 parameters (resolved through a ``ParamStore`` or plain mapping), and outputs
 of earlier nodes. ``forward`` evaluates every node in order and returns the
 complete value table; ``backward`` walks the node list in reverse and
-accumulates gradients into the parameter store.
+writes each parameter's gradient into its slot of the parameter store.
 
 ``forward`` computes in one floating dtype, float64 unless told otherwise:
 training runs its graphs in float32, inference and the gradient oracles in
@@ -215,33 +215,62 @@ def forward(graph: Graph, inputs, params=None, dtype=np.float64) -> dict:
 
 
 def backward(graph: Graph, values, loss: str, params) -> None:
-    """Accumulate d(loss)/d(param) into ``params`` for a scalar loss value.
+    """Write d(loss)/d(param) into ``params.grad(name)`` for every declared
+    parameter, for a scalar loss value.
 
-    ``values`` is the table returned by ``forward``. A gradient with respect
-    to an array is taken by declaring the array a parameter.
+    ``values`` is the table returned by ``forward``. Each parameter's first
+    contribution is written into its gradient slot, a ``linear`` weight's
+    multiplied straight into it, and later ones are added there in place, so
+    the slots need no zeroing first and no parameter gradient is held apart
+    from them. A parameter the loss does not reach reads zeros. A gradient
+    with respect to an array is taken by declaring the array a parameter.
     """
     if loss not in values:
         raise GraphError(f"unknown loss value {loss!r}")
     seed = values[loss]
     if seed.size != 1:
         raise GraphError(f"loss {loss!r} must be scalar, got shape {seed.shape}")
-    grads: dict[str, np.ndarray] = {loss: np.ones_like(seed)}
+    grads: dict[str, np.ndarray] = {}
+    is_param = graph._param_set
+    written = set()  # parameters whose slot holds their first contribution
+
+    def deposit(name, contrib):
+        # contributions may alias or view the upstream gradient; that is
+        # safe because stored node gradients are only ever replaced, never
+        # mutated in place (accumulation allocates), and a parameter's slot
+        # is only ever written from them
+        if name not in is_param:
+            grads[name] = grads[name] + contrib if name in grads else contrib
+        elif name in written:
+            slot = params.grad(name)
+            slot += contrib
+        else:
+            params.grad(name)[...] = contrib
+            written.add(name)
+
+    deposit(loss, np.ones_like(seed))
     for node in reversed(graph.nodes):
         g = grads.pop(node.name, None)
         if g is None:
             continue
         args = [values[n] for n in node.inputs]
-        for name, contrib in _GRAD[node.op](node, args, values[node.name], g):
-            # contributions may alias or view the upstream gradient; that is
-            # safe because stored gradients are only ever replaced, never
-            # mutated in place (accumulation allocates, adam touches params)
-            if name in grads:
-                grads[name] = grads[name] + contrib
-            else:
-                grads[name] = contrib
+        if node.op != "linear":
+            for name, contrib in _GRAD[node.op](node, args, values[node.name], g):
+                deposit(name, contrib)
+            continue
+        (x, w, _), (x_name, w_name, b_name) = args, node.inputs
+        if node.attrs["relu"]:
+            g = g * (values[node.name] > 0)
+        deposit(x_name, g @ w.T)
+        if w_name in is_param and w_name not in written:
+            np.matmul(x.T, g, out=params.grad(w_name))
+            written.add(w_name)
+        else:
+            deposit(w_name, x.T @ g)
+        deposit(b_name, g.sum(axis=0))
     for name in graph.params:
-        if name in grads:
-            params.accumulate_grad(name, grads[name])
+        if name not in written:
+            params.grad(name).fill(0.0)
 
 
 # -- primitive implementations ------------------------------------------------
@@ -359,13 +388,6 @@ _EVAL = {
 }
 
 
-def _grad_linear(node, args, out, g):
-    x, w, _ = args
-    if node.attrs["relu"]:
-        g = g * (out > 0)
-    return [(node.inputs[0], g @ w.T), (node.inputs[1], x.T @ g), (node.inputs[2], g.sum(axis=0))]
-
-
 def _grad_add(node, args, out, g):
     a, b = args
     return [(node.inputs[0], _unbroadcast(g, a.shape)), (node.inputs[1], _unbroadcast(g, b.shape))]
@@ -415,8 +437,9 @@ def _grad_slice(node, args, out, g):
     return [(node.inputs[0], z)]
 
 
+# ``backward`` differentiates ``linear`` itself, to multiply a weight's
+# gradient straight into its slot
 _GRAD = {
-    "linear": _grad_linear,
     "add": _grad_add,
     "sub": _grad_sub,
     "mul": _grad_mul,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import sys
@@ -42,14 +43,17 @@ def write_atomic(path, chunks) -> None:
 class ParamStore:
     """Named parameters of one float dtype, each with a gradient and two Adam moments.
 
-    The store is built in one call from its complete ``(name, array)`` pairs.
-    Values, gradients and the two moments each live in one contiguous arena;
-    ``store[name]``, ``grad(name)`` and ``moments(name)`` are writable views
-    into them that share the parameter's shape. Gradients and moments start
-    as untouched zero pages, so a store that never trains never faults them
-    in. ``step`` counts completed Adam steps and drives bias correction.
-    Every arena has ``dtype`` (float64 by default; training uses float32);
-    checkpoints are ``<f8`` whatever the dtype.
+    The store is built in one call from its complete ``(name, array)`` pairs,
+    or zeroed from its shapes by ``zeros``. Values, gradients and the two
+    moments each live in one contiguous arena; ``store[name]``, ``grad(name)``
+    and ``moments(name)`` are writable views into them that share the
+    parameter's shape. The arenas are one private anonymous page mapping, not
+    heap memory (so ``tracemalloc`` does not see them): a page stays unmapped
+    until it is first written, whatever the heap did before, and a freed
+    store returns its pages to the OS. A store that never trains never faults
+    in its gradients or moments. ``step`` counts completed Adam steps and
+    drives bias correction. Every arena has ``dtype`` (float64 by default;
+    training uses float32); checkpoints are ``<f8`` whatever the dtype.
     """
 
     def __init__(self, items=(), dtype=np.float64):
@@ -60,19 +64,25 @@ class ParamStore:
             if name in arrays:
                 raise ValueError(f"parameter {name!r} already exists")
             arrays[name] = np.asarray(value)
-        self._layout(((name, arr.shape) for name, arr in arrays.items()), dtype)
+        self._layout({name: arr.shape for name, arr in arrays.items()}, dtype)
         for name, arr in arrays.items():
             self[name][...] = arr
 
+    @classmethod
+    def zeros(cls, shapes, dtype=np.float64) -> "ParamStore":
+        """A store of zeros from a ``name -> shape`` mapping, in its order."""
+        store = cls.__new__(cls)
+        store._layout(shapes, dtype)
+        return store
+
     def _layout(self, shapes, dtype) -> None:
-        """Allocate the four zeroed arenas and each name's views into them
-        from ``(name, shape)`` pairs, in order; ``step`` starts at 0."""
-        shapes = list(shapes)
-        total = sum(math.prod(shape) for _, shape in shapes)
-        self._value, self._grad, self._m, self._v = arenas = tuple(np.zeros(total, dtype=dtype) for _ in range(4))
+        """Map the four zeroed arenas and each name's views into them from
+        the ``name -> shape`` mapping, in order; ``step`` starts at 0."""
+        total = sum(math.prod(shape) for shape in shapes.values())
+        self._value, self._grad, self._m, self._v = arenas = _zeroed_pages(4 * total, dtype).reshape(4, total)
         self._views: dict[str, tuple[np.ndarray, ...]] = {}
         offset = 0
-        for name, shape in shapes:
+        for name, shape in shapes.items():
             span = slice(offset, offset + math.prod(shape))
             self._views[name] = tuple(buf[span].reshape(shape) for buf in arenas)
             offset = span.stop
@@ -110,10 +120,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         self._grad.fill(0.0)
 
-    def accumulate_grad(self, name, g) -> None:
-        grad = self.grad(name)
-        grad += g
-
     def adam_step(self, learning_rate) -> None:
         """One Adam update from the current gradients; gradients are left intact.
 
@@ -149,8 +155,7 @@ class ParamStore:
 
     def clone(self, dtype=None) -> "ParamStore":
         """A copy of every arena and ``step``, in ``dtype`` (default: this store's)."""
-        out = ParamStore.__new__(ParamStore)
-        out._layout(((name, self[name].shape) for name in self._views), dtype or self.dtype)
+        out = ParamStore.zeros({name: self[name].shape for name in self._views}, dtype or self.dtype)
         for got, have in zip((out._value, out._grad, out._m, out._v), (self._value, self._grad, self._m, self._v)):
             got[...] = have
         out.step = self.step
@@ -243,8 +248,7 @@ class ParamStore:
                 f"parameter checkpoint {path} has {size - end} trailing bytes after "
                 + (f"the last parameter {name!r}" if name else "its header")
             )
-        store = cls.__new__(cls)
-        store._layout(shapes.items(), np.float64)
+        store = cls.zeros(shapes)
         store.step = step
         for name, start in zip(shapes, starts):
             value, _, m, v = store._views[name]
@@ -260,6 +264,20 @@ class ParamStore:
             for arena in (store._value, store._m, store._v)[:n_arrays]:
                 arena.byteswap(inplace=True)
         return store
+
+
+def _zeroed_pages(size, dtype) -> np.ndarray:
+    """A 1-D array of ``size`` zeros of ``dtype`` over a private anonymous
+    mapping; ``mmap``'s default would share the pages with forked children."""
+    dtype = np.dtype(dtype)
+    if size == 0:  # a zero-length mapping is an error
+        return np.zeros(0, dtype)
+    nbytes = size * dtype.itemsize
+    if hasattr(mmap, "MAP_PRIVATE"):
+        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:  # Windows: an anonymous mapping is private to the process
+        pages = mmap.mmap(-1, nbytes)
+    return np.frombuffer(pages, dtype)
 
 
 def _read_header(fh, n, path, what) -> bytes:

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
                   "finetune_epochs": 0, "checkpoint_every": 0, "eval_every": 0}
+        for name in (*lowest, "seed"):
+            setattr(self, name, check_int(name, getattr(self, name)))
         for name, low in lowest.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -215,7 +217,6 @@ def _adam_epoch(graph, store, feeds, learning_rate, where) -> float:
     total = 0.0
     rows = 0
     for batch_no, inputs in enumerate(feeds):
-        store.zero_grads()
         try:
             values = forward(graph, inputs, store, dtype=store.dtype)
             backward(graph, values, "loss", store)

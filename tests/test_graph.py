@@ -6,7 +6,7 @@ import pytest
 from mvclust import Graph, GraphError, ModelConfig, NumericError, ParamStore, backward, forward
 from mvclust.numgrad import graph as graph_mod
 
-from helpers import fd_gradient_errors, random_views, randomized_model
+from helpers import fd_gradient_errors, random_views, randomized_model, tiny_config
 
 
 def _store(**arrays):
@@ -212,6 +212,48 @@ def test_backward_linearity():
     backward(g, values, "combo", store)
     combo = store.grad("w").copy()
     assert np.max(np.abs(combo - (alpha * g1 + beta * g2))) < 1e-12
+
+
+def _shared_weight_graph():
+    """A graph whose weight "w" feeds two linear nodes and whose "dead" and
+    "unused" the loss does not reach: "dead" feeds a branch off the loss,
+    "unused" is only declared."""
+    g = Graph()
+    x = g.input("x")
+    h = g.linear(x, g.param("w"), g.param("b"), relu=True)
+    h2 = g.linear(h, "w", g.param("b2"))
+    g.exp(g.mul(h2, g.param("dead")))
+    g.param("unused")
+    g.mean(g.square(g.mul(h2, g.param("s"))), name="loss")
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_overwrites_whatever_the_gradient_slots_held(dtype):
+    # backward needs no zero_grads: over NaN-filled slots it gives the
+    # gradients zero_grads + backward give, and zeros where the loss does not reach
+    rng = np.random.default_rng(50)
+    small = _store(w=rng.standard_normal((3, 3)), b=rng.standard_normal(3), b2=rng.standard_normal(3),
+                   dead=rng.standard_normal(3), unused=rng.standard_normal(2), s=rng.standard_normal(3))
+    config = tiny_config("gaussian")
+    model = randomized_model(config, seed=51)
+    views = random_views(config, 8, seed=52)
+    eps = rng.standard_normal((8, 2))
+    cases = [
+        (_shared_weight_graph(), {"x": rng.standard_normal((5, 3))}, small.clone(dtype)),
+        (model.elbo_graph(1), {"x0": views[0], "x1": views[1], "eps0": eps}, model.params.clone(dtype)),
+    ]
+    for graph, inputs, store in cases:
+        store.zero_grads()
+        backward(graph, forward(graph, inputs, store, dtype=dtype), "loss", store)
+        want = store.clone()
+        store._grad.fill(np.nan)
+        backward(graph, forward(graph, inputs, store, dtype=dtype), "loss", store)
+        for name in store.names():
+            assert np.array_equal(store.grad(name), want.grad(name)), name
+    store = cases[0][2]
+    assert not store.grad("dead").any() and not store.grad("unused").any()
+    assert store.grad("w").any() and store.grad("s").any()
 
 
 def test_forward_and_backward_bit_identical():

@@ -908,6 +908,22 @@ def test_architecture_sizes_must_be_integers(config_class, field, value):
     assert str(caught.value) == f"{field}{'[1]' if sized else ''} must be an integer, got {value!r}"
 
 
+_SEQUENCE_FIELDS = [f for f in _SIZE_FIELDS if f[1] in ("view_dims", "encoder_hidden", "decoder_hidden")]
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), "35", None], ids=["int", "numpy-int", "str", "none"])
+@pytest.mark.parametrize("config_class, field", _SEQUENCE_FIELDS, ids=[f"{c.__name__}-{f}" for c, f in _SEQUENCE_FIELDS])
+def test_architecture_widths_must_be_a_list_or_tuple(config_class, field, value):
+    if config_class is TrainConfig:
+        args = {"n_clusters": 2}
+    else:
+        args = {"view_dims": (3, 4), "latent_dim": 2, "n_clusters": 2, "likelihood": "gaussian"}
+    args[field] = value
+    with pytest.raises(ValueError) as caught:
+        config_class(**args)
+    assert str(caught.value) == f"{field} must be a list or tuple, got {value!r}"
+
+
 def test_numpy_integer_sizes_become_ints():
     size = np.int64(3)
     config = ModelConfig(view_dims=(size,), latent_dim=size, n_clusters=size, likelihood="gaussian",

@@ -87,6 +87,23 @@ def test_config_validation():
             TrainConfig(**kwargs)
 
 
+_COUNT_FIELDS = ("epochs", "batch_size", "pretrain_epochs", "finetune_epochs", "mc_samples",
+                 "checkpoint_every", "eval_every", "seed")
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("field", _COUNT_FIELDS)
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError) as caught:
+        TrainConfig(n_clusters=2, **{field: value})
+    assert str(caught.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_config_numpy_integer_counts_become_ints():
+    config = TrainConfig(n_clusters=2, **{field: np.int64(2) for field in _COUNT_FIELDS})
+    assert all(type(getattr(config, field)) is int for field in _COUNT_FIELDS)
+
+
 def test_config_rejects_a_seed_beyond_64_bits():
     assert TrainConfig(n_clusters=2, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"):
@@ -651,9 +668,8 @@ def test_simplex_preserved_after_many_adam_steps():
 
     store = ParamStore([("fusion_logits", np.zeros(4)), ("mix_logits", np.zeros(6))])
     for _ in range(1000):
-        store.zero_grads()
-        store.accumulate_grad("fusion_logits", rng.standard_normal(4))
-        store.accumulate_grad("mix_logits", rng.standard_normal(6))
+        store.grad("fusion_logits")[...] = rng.standard_normal(4)
+        store.grad("mix_logits")[...] = rng.standard_normal(6)
         store.adam_step(0.05)
     for name, size in (("fusion_logits", 4), ("mix_logits", 6)):
         w = softmax(store[name])
