@@ -28,7 +28,7 @@ import numpy as np
 
 from .numgrad import as_tensor
 from .numgrad.params import write_atomic
-from .seeding import rng_for
+from .seeding import check_int, check_ints, rng_for
 
 MANIFEST_FILE = "manifest.json"
 # values per chunk of a CSV write (about 25 KB of text): memory stays bounded,
@@ -48,6 +48,14 @@ class LoadError(ValueError):
     """An input file failed validation; the message names the offender."""
 
 
+def check_batch(x, dim, what) -> np.ndarray:
+    """``x`` as a float64 array; it must be an (n, ``dim``) matrix, else a ValueError names ``what``."""
+    arr = as_tensor(x)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"{what} must be (n, {dim}), got shape {np.shape(x)}")
+    return arr
+
+
 @dataclass
 class NormalizationRecord:
     """Per-view affine feature transform y = (x - offset) * scale.
@@ -64,13 +72,8 @@ class NormalizationRecord:
     def apply(self, matrices) -> list[np.ndarray]:
         if len(matrices) != len(self.offsets):
             raise ValueError(f"record covers {len(self.offsets)} views, got {len(matrices)}")
-        out = []
-        for v, (x, off, sc) in enumerate(zip(matrices, self.offsets, self.scales)):
-            x = as_tensor(x)
-            if x.ndim != 2 or x.shape[1] != off.shape[0]:
-                raise ValueError(f"view {v} must be (n, {off.shape[0]}), got shape {x.shape}")
-            out.append((x - off) * sc)
-        return out
+        views = enumerate(zip(matrices, self.offsets, self.scales))
+        return [(check_batch(x, off.shape[0], f"view {v}") - off) * sc for v, (x, off, sc) in views]
 
 
 @dataclass
@@ -87,6 +90,8 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.matrices:
             raise ValueError("dataset needs at least one view")
+        if len(self.view_names) != len(self.matrices):
+            raise ValueError(f"dataset has {len(self.view_names)} view names for {len(self.matrices)} matrices")
         n = self.matrices[0].shape[0]
         for name, mat in zip(self.view_names, self.matrices):
             if mat.ndim != 2 or mat.shape[0] != n:
@@ -367,6 +372,9 @@ def synth_generate(
     """
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
+    counts = {"n_clusters": n_clusters, "n_views": n_views, "n": n, "latent_dim": latent_dim}
+    n_clusters, n_views, n, latent_dim = (check_int(name, value) for name, value in counts.items())
+    view_dims = check_ints("view_dims", view_dims)
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")
     lowest = (("n_clusters", n_clusters, 1), ("n_views", n_views, 1), ("n", n, 1), ("latent_dim", latent_dim, 1),

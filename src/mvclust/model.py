@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FORMAT_VERSION, LIKELIHOODS, LoadError, NormalizationRecord, check_format_version, json_args
-from .data import MultiViewDataset, json_field, load_json, save_json
+from .data import FORMAT_VERSION, LIKELIHOODS, LoadError, NormalizationRecord, check_batch, check_format_version
+from .data import MultiViewDataset, json_args, json_field, load_json, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
-from .seeding import rng_for
+from .seeding import check_int, check_ints, rng_for
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOGVAR_MIN = -15.0
@@ -73,20 +73,6 @@ class ModelConfig:
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
-
-
-def check_int(name: str, value) -> int:
-    """``value`` as an int; it must be an int or a numpy integer, and a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_ints(name: str, value) -> tuple[int, ...]:
-    """``value`` as a tuple of ints; it must be a list or tuple of what ``check_int`` takes."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list or tuple, got {value!r}")
-    return tuple(check_int(f"{name}[{i}]", item) for i, item in enumerate(value))
 
 
 def check_architecture(config) -> None:
@@ -396,19 +382,12 @@ class Model:
 # -- operations ----------------------------------------------------------------
 
 
-def _check_batch(x, dim, what) -> np.ndarray:
-    arr = as_tensor(x)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"{what} must be (n, {dim}), got shape {np.shape(x)}")
-    return arr
-
-
 def _check_views(model: Model, views) -> list[np.ndarray]:
     """One (n, d_v) batch per view of the model, all with the same n."""
     m = model.config.n_views
     if len(views) != m:
         raise ValueError(f"expected {m} views, got {len(views)} (all views are required)")
-    mats = [_check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
+    mats = [check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
     if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
         raise ValueError("all views must have the same number of rows")
     return mats
@@ -447,7 +426,7 @@ def _chunked(graph: Graph, inputs: dict, params, outputs) -> list[np.ndarray]:
 def decode(model: Model, z) -> list[np.ndarray]:
     """Decoded mean of every view for each z row, one (n, d_v) matrix per
     view: the clipped Bernoulli probabilities or the Gaussian means."""
-    arr = _check_batch(z, model.config.latent_dim, "latent z")
+    arr = check_batch(z, model.config.latent_dim, "latent z")
     outputs = [f"mu{v}" for v in range(model.config.n_views)]
     return _chunked(model.decoder_graph(), {"z": arr}, model.params, outputs)
 
@@ -472,7 +451,7 @@ def responsibilities(z, mixture) -> np.ndarray:
         raise ValueError(f"mix_logits, gmm_means, gmm_logvars must be (K,), (K, J), (K, J), got {shapes}")
     J = shapes[1][1]
     g, gamma = _gamma_graph(J)
-    return _chunked(g, {"z": _check_batch(z, J, "z")}, mixture, [gamma])[0]
+    return _chunked(g, {"z": check_batch(z, J, "z")}, mixture, [gamma])[0]
 
 
 @functools.cache
@@ -537,10 +516,8 @@ def generate(model: Model, cluster: int, noise) -> list[np.ndarray]:
     """Draw one z per ``noise`` row from prior component ``cluster``; returns
     every view's decoded means from it (no binarization for Bernoulli views)."""
     K = model.config.n_clusters
-    if isinstance(cluster, bool) or not isinstance(cluster, (int, np.integer)):
-        raise ValueError(f"cluster must be an integer index, got {cluster!r}")
-    if not 0 <= cluster < K:
+    if not 0 <= check_int("cluster", cluster) < K:
         raise ValueError(f"cluster index {cluster} out of range [0, {K})")
     g, z = _draw_graph(cluster)
-    eps = _check_batch(noise, model.config.latent_dim, "noise")
+    eps = check_batch(noise, model.config.latent_dim, "noise")
     return decode(model, _chunked(g, {"eps": eps}, model.params, [z])[0])

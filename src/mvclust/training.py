@@ -18,20 +18,11 @@ import numpy as np
 from . import metrics as metrics_mod
 from .data import FORMAT_VERSION, LoadError, MultiViewDataset, batch_iter, check_format_version, json_args
 from .data import json_field, load_json, normalize, save_json
-from .model import (
-    Model,
-    ModelConfig,
-    _enc,
-    assign_clusters,
-    check_architecture,
-    check_int,
-    decoder_nodes,
-    encoder_nodes,
-    fused_posterior,
-)
+from .model import Model, ModelConfig, _enc, assign_clusters, check_architecture, decoder_nodes, encoder_nodes
+from .model import fused_posterior
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
 from .numgrad.params import write_atomic
-from .seeding import check_seed, rng_for
+from .seeding import check_int, check_seed, rng_for
 
 CHECKPOINT_STATE_FILE = "state.json"
 HISTORY_FILE = "history.csv"
@@ -57,8 +48,8 @@ class TrainConfig:
     finetune_epochs: int = 20
     seed: int = 0
     mc_samples: int = 1
-    encoder_hidden: tuple[int, ...] = (500, 500, 200)
-    decoder_hidden: tuple[int, ...] = (2000, 500, 500)
+    encoder_hidden: tuple[int, ...] = ModelConfig.encoder_hidden
+    decoder_hidden: tuple[int, ...] = ModelConfig.decoder_hidden
     checkpoint_every: int = 0
     eval_every: int = 10
 
@@ -68,12 +59,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
                   "finetune_epochs": 0, "checkpoint_every": 0, "eval_every": 0}
-        for name in (*lowest, "seed"):
-            setattr(self, name, check_int(name, getattr(self, name)))
         for name, low in lowest.items():
+            setattr(self, name, check_int(name, getattr(self, name)))
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -229,18 +219,18 @@ def _adam_epoch(graph, store, feeds, learning_rate, where) -> float:
     return total / rows
 
 
-def _pretrain(graph, views: dict, fresh, X, epochs, config, stream, where) -> list[float]:
-    """Train copies of the model ``views`` (store name -> writable view) plus
-    the ``fresh`` (name, value) pairs on ``X``, in ``X``'s dtype, then write
-    the trained values back into the views. Returns the per-epoch losses."""
-    store = ParamStore([*views.items(), *fresh], dtype=X.dtype)
+def _pretrain(graph, params: dict, X, epochs, config, stream, where) -> list[float]:
+    """Train a copy of ``params`` (each parameter ``graph`` declares -> a
+    writable array) on ``X``, in ``X``'s dtype, then write the trained values
+    back into the arrays. Returns the per-epoch losses."""
+    store = ParamStore(params.items(), dtype=X.dtype)
     losses = []
     for epoch in range(epochs):
         batches = batch_iter(X.shape[0], config.batch_size, config.seed, epoch, stream=stream)
         feeds = ({"x": X[batch]} for batch in batches)
         losses.append(_adam_epoch(graph, store, feeds, config.learning_rate, f"{where} epoch {epoch}"))
-    for name, view in views.items():
-        view[...] = store[name]
+    for name, array in params.items():
+        array[...] = store[name]
     return losses
 
 
@@ -272,18 +262,18 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
                 w, b = w[:, : mcfg.latent_dim], b[: mcfg.latent_dim]
             fan_in, fan_out = w.shape
             rng = rng_for(config.seed, "pretrain-init", v, stage)
-            fresh = [("dw", rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))), ("db", np.zeros(fan_in))]
+            dw = rng.normal(0.0, np.sqrt(2.0 / fan_out), size=(fan_out, fan_in))
+            params = {"w": w, "b": b, "dw": dw, "db": np.zeros(fan_in)}
             graph = _mse_graph_pair(hidden_relu=hidden)
             stream, where = ("pretrain", v, stage), f"pretrain view {v} stage {stage}"
-            losses = _pretrain(graph, {"w": w, "b": b}, fresh, current, config.pretrain_epochs, config, stream, where)
-            stage_losses.append(losses)
+            stage_losses.append(_pretrain(graph, params, current, config.pretrain_epochs, config, stream, where))
             if hidden:
                 current = np.maximum(current @ w + b, 0.0)
 
-        prefixes = (f"enc{v}_", f"dec{v}_")
-        views = {name: model.params[name] for name in model.params.names() if name.startswith(prefixes)}
+        graph = _finetune_graph(mcfg, v)
+        params = {name: model.params[name] for name in graph.params}
         stream, where = ("finetune", v), f"finetune view {v}"
-        fine_losses = _pretrain(_finetune_graph(mcfg, v), views, (), X, config.finetune_epochs, config, stream, where)
+        fine_losses = _pretrain(graph, params, X, config.finetune_epochs, config, stream, where)
         histories[v] = {"greedy": stage_losses, "finetune": fine_losses}
     return histories
 

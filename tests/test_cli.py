@@ -130,6 +130,25 @@ def test_malformed_config_json_exits_2_naming_the_file(workspace, tmp_path, caps
     assert not (tmp_path / "o" / "model").exists()
 
 
+def test_a_numeric_failure_exits_1_with_only_the_error_line(tmp_path, capsys):
+    spec = {"n_clusters": 2, "n_views": 2, "n": 20, "latent_dim": 2, "separation": 4.0, "view_dims": [3, 3], "seed": 0}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    config = {"n_clusters": 2, "latent_dim": 2, "learning_rate": 1e30, "encoder_hidden": [4], "decoder_hidden": [4]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main([
+        "train", "--manifest", str(tmp_path / "data" / "manifest.json"), "--config", str(tmp_path / "config.json"),
+        "--out", str(tmp_path / "o"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: pretrain view 0 stage 0 epoch ")
+    assert "non-finite values" in captured.err
+    assert not (tmp_path / "o" / "model").exists()
+
+
 def test_train_has_no_embeddings_flag(workspace, tmp_path, capsys):
     # `mvclust embed --model OUT/model` exports the embeddings of a trained run
     with pytest.raises(SystemExit) as info:

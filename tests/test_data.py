@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mvclust import (
     synth_generate,
 )
 from mvclust.data import MultiViewDataset, save_matrix
-from mvclust.seeding import rng_for
+from mvclust.seeding import check_seed, rng_for
 
 
 def _write_dataset(tmp_path, matrices, labels=None, n=None, likelihood="gaussian"):
@@ -216,6 +217,49 @@ def test_a_seed_outside_64_bits_is_rejected_not_aliased(seed):
         rng_for(seed, "synth")
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         synth_generate(2, 2, 10, 2, separation=3.0, view_dims=(3, 3), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+def test_a_seed_that_is_not_an_integer_is_rejected_not_truncated(seed):
+    # int() would read 2.7 as seed 2 and True as seed 1
+    message = re.escape(f"seed must be an integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        check_seed(seed)
+    with pytest.raises(ValueError, match=message):
+        rng_for(seed, "synth")
+    with pytest.raises(ValueError, match=message):
+        synth_generate(2, 2, 10, 2, separation=3.0, view_dims=(3, 3), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("n_clusters", 2.5, "n_clusters must be an integer, got 2.5"),
+        ("n_views", 2.0, "n_views must be an integer, got 2.0"),
+        ("n", 10.5, "n must be an integer, got 10.5"),
+        ("latent_dim", 2.0, "latent_dim must be an integer, got 2.0"),
+        ("view_dims", (3.5, 4), "view_dims[0] must be an integer, got 3.5"),
+        ("view_dims", 3, "view_dims must be a list or tuple, got 3"),
+    ],
+    ids=["n_clusters", "n_views", "n", "latent_dim", "view-dim", "view_dims"],
+)
+def test_synth_names_a_count_that_is_not_an_integer(field, value, named):
+    spec = dict(n_clusters=2, n_views=2, n=10, latent_dim=2, separation=3.0, view_dims=(3, 4), seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        synth_generate(**{**spec, field: value})
+
+
+def test_synth_of_one_cluster_puts_its_mean_at_zero():
+    ds, info = synth_generate(1, 2, 30, 3, separation=5.0, view_dims=(4, 3), seed=2, return_latent=True)
+    assert np.all(info["means"] == 0.0) and info["means"].shape == (1, 3)
+    assert np.all(ds.labels == 0)
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+def test_a_dataset_needs_one_view_name_per_matrix(names):
+    # zip() over the two lists would check only the first len(names) matrices
+    with pytest.raises(ValueError, match=rf"^dataset has {len(names)} view names for 2 matrices$"):
+        MultiViewDataset(name="x", view_names=names, matrices=[np.zeros((10, 3)), np.ones((5, 2))])
 
 
 def test_synth_needs_one_dim_per_view():

@@ -836,7 +836,7 @@ def test_generate_bad_cluster_index():
 def test_generate_rejects_a_cluster_that_is_not_an_integer(cluster):
     # int() would read each as component 1
     model = zero_model(tiny_config("bernoulli"))
-    with pytest.raises(ValueError, match=re.escape(f"cluster must be an integer index, got {cluster!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"cluster must be an integer, got {cluster!r}")):
         generate(model, cluster, np.zeros((1, 2)))
     assert generate(model, np.int64(1), np.zeros((1, 2)))[0].shape == (1, 4)
 
