@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 import string
 import warnings
 from dataclasses import dataclass
@@ -31,9 +32,9 @@ from .numgrad.params import write_atomic
 from .seeding import check_int, check_ints, rng_for
 
 MANIFEST_FILE = "manifest.json"
-# values per chunk of a CSV write (about 25 KB of text): memory stays bounded,
-# and the heap is left as np.savetxt leaves it, which a chunk per row is not
-_CSV_CHUNK = 1024
+# values per chunk of a CSV write: the vectorized writer's working set stays
+# near 1 MB, and no whole file is held in memory
+_CSV_CHUNK = 4096
 LIKELIHOODS = ("bernoulli", "gaussian")
 FORMAT_VERSION = 1  # of descriptor.json and state.json
 # the Python types of each plain JSON kind; every kind is one of these, a list
@@ -92,9 +93,13 @@ class MultiViewDataset:
             raise ValueError("dataset needs at least one view")
         if len(self.view_names) != len(self.matrices):
             raise ValueError(f"dataset has {len(self.view_names)} view names for {len(self.matrices)} matrices")
+        for name, mat in zip(self.view_names, self.matrices):
+            if not isinstance(mat, np.ndarray) or mat.ndim != 2:
+                got = f"shape {mat.shape}" if isinstance(mat, np.ndarray) else type(mat).__name__
+                raise ValueError(f"view {name!r} must be a 2-D numpy array, got {got}")
         n = self.matrices[0].shape[0]
         for name, mat in zip(self.view_names, self.matrices):
-            if mat.ndim != 2 or mat.shape[0] != n:
+            if mat.shape[0] != n:
                 raise ValueError(f"view {name!r} must be a (n, d) matrix")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must match sample count")
@@ -199,11 +204,172 @@ def save_labels(path, labels) -> None:
 def save_matrix(path, mat) -> None:
     """A headerless CSV row per row of the 2-D ``mat``, each value ``%.17g``
     (exact round trip, the bytes of ``np.savetxt``), written atomically in
-    chunks of about ``_CSV_CHUNK`` values, so no whole file is held in memory."""
+    chunks of about ``_CSV_CHUNK`` values, so no whole file is held in memory.
+
+    A chunk of whole rows whose every value is 0 or has 1e-11 < |x| < 2**53
+    is laid out by numpy (``_csv_text``); any other chunk (NaN, infinities,
+    subnormals, huge or tiny values, no columns) is formatted one row at a
+    time by Python's ``%`` operator, which gives the same bytes."""
     fmt = ",".join(["%.17g"] * mat.shape[1]) + "\n"
     rows = max(1, _CSV_CHUNK // max(mat.shape[1], 1))
-    blocks = (mat[i : i + rows].tolist() for i in range(0, mat.shape[0], rows))
-    write_atomic(path, ("".join(fmt % tuple(row) for row in block).encode() for block in blocks))
+
+    def chunks():
+        for i in range(0, mat.shape[0], rows):
+            block = mat[i : i + rows]
+            values = np.asarray(block, dtype=np.float64).ravel()
+            size = np.abs(values)
+            if values.size and ((size > 1e-11) & (size < 2.0**53) | (values == 0)).all():
+                for j in range(0, values.size, _CSV_CHUNK):  # a row can be wider than a chunk
+                    yield _csv_text(values[j : j + _CSV_CHUNK], j, mat.shape[1])
+            else:
+                yield "".join(fmt % tuple(row) for row in block.tolist()).encode()
+
+    write_atomic(path, chunks())
+
+
+# The numpy writer of ``save_matrix``: Ryu printf's integer method (Adams,
+# "Ryu revisited: printf floating point conversion", OOPSLA 2019) over a whole
+# chunk. With x = m * 2**e2 and k = floor(log10 |x|), the 17 digits are
+# m * 5**s * 2**(e2 + s) for s = 16 - k, rounded half to even on the bits
+# shifted out. For 1e-11 < |x| < 2**53, s lies in [1, 27], so 5**s < 2**63 and
+# the product fits two uint64 limbs. Every limb stays uint64 (with int64 it
+# would promote to float64), and no shift reaches 64 bits, which C leaves
+# undefined.
+_X_LOW, _X_HIGH = -11, 15  # the decimal exponents of the fast range
+_POW5_HI = np.array([5**s >> 32 for s in range(28)], dtype=np.uint64)
+_POW5_LO = np.array([5**s & 0xFFFFFFFF for s in range(28)], dtype=np.uint64)
+_E4, _E8, _E16, _E17 = (np.uint64(10**p) for p in (4, 8, 16, 17))
+_HALF = np.uint64(2**63)
+
+
+def _quads() -> np.ndarray:
+    """Each of 0..9999 as its four ASCII digits (a little-endian word) in the
+    low half, and in the high half the place of its last nonzero digit (1-4),
+    or -16 for 0000, below every place."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    words = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(np.int64)
+    nonzero = digits != 0
+    last = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), -16)
+    return words + last * 2**32
+
+
+_QUADS = _quads()
+
+# A value's text is laid out in a row of 32 bytes, 0 where nothing is written:
+# 1 sign, 2-6 "0.000", 7-24 the digits with at most one point among them,
+# 25-28 "e-XX", 29 the separator. Digit j comes from column 7 + j of the
+# digits as computed, before the point, or from column 8 + j of the same
+# digits moved one byte on, after it.
+_CSV_WIDTH = 32
+
+
+def _csv_templates():
+    """The ``%g`` rules written once, as three byte tables of one row per
+    (end of row, sign, decimal exponent X, significant-digit count n): the
+    constant bytes, and the masks that keep the digits before the point
+    (from the plain digit row) and after it (from the row moved one byte on).
+
+    Fixed notation for -4 <= X < 17 (with 17 digits), else ``d.ddd...e-XX``;
+    trailing zeros and a bare point are stripped; ``-`` for every negative
+    value, -0 included."""
+    eol, neg, x, n = np.ix_(range(2), range(2), range(_X_LOW, _X_HIGH + 1), range(1, 18))
+    fixed, small = x >= -4, (x >= -4) & (x < 0)
+    point = np.where(x >= 0, x + 1, np.where(fixed, 17, 1))  # digits before the point
+    shape = (2, 2, x.size, 17, _CSV_WIDTH)
+    const, keep_plain, keep_moved = (np.zeros(shape, dtype=np.uint8) for _ in range(3))
+    const[..., 1] = np.where(neg, ord("-"), 0)
+    const[..., 2] = np.where(small, ord("0"), 0)
+    const[..., 3] = np.where(small, ord("."), 0)
+    for zeros in range(3):  # the zeros of 0.0ddd, 0.00ddd, 0.000ddd
+        const[..., 4 + zeros] = np.where(small & (x <= -2 - zeros), ord("0"), 0)
+    for j in range(17):  # an integer part keeps its zeros
+        keep_plain[..., 7 + j] = np.where((j < point) & ((j < n) | (x >= 0)), 0xFF, 0)
+        keep_moved[..., 8 + j] = np.where((j >= point) & (j < n), 0xFF, 0)
+        const[..., 8 + j] = np.where((point == j + 1) & (n > j + 1), ord("."), 0)
+    for col, char in ((25, ord("e")), (26, ord("-")), (27, ord("0") + -x // 10), (28, ord("0") + -x % 10)):
+        const[..., col] = np.where(fixed, 0, char)
+    const[..., 29] = np.where(eol, ord("\n"), ord(","))
+    return tuple(table.reshape(-1, _CSV_WIDTH).view(np.uint64) for table in (const, keep_plain, keep_moved))
+
+
+_CSV_CONST, _CSV_KEEP_PLAIN, _CSV_KEEP_MOVED = _csv_templates()
+
+
+def _scaled_digits(m, e2, s):
+    """floor(m * 10**s * 2**e2) for uint64 ``m`` < 2**53 and 1 <= ``s`` <= 27,
+    and whether its exact value rounds up, half to even."""
+    shift = -(e2 + s)  # in [-2, 63] for the fast range and s within 1 of its value
+    m = m << np.maximum(-shift, 0).astype(np.uint64)  # < 2**55 where the shift is negative
+    left = 63 - np.maximum(shift, 0).astype(np.uint64)
+    m_hi, m_lo, p_hi, p_lo = m >> 32, m & 0xFFFFFFFF, _POW5_HI[s], _POW5_LO[s]
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi  # < 2**55 + 2**63
+    lo = low + (mid << 32)
+    hi = m_hi * p_hi + (mid >> 32) + (lo < low)
+    floor = (hi << 1) << left | lo >> (63 - left)
+    dropped = (lo << 1) << left  # the bits shifted out, at the top of a word
+    return floor, (dropped > _HALF) | (dropped == _HALF) & (floor & 1 == 1)
+
+
+def _decimal(values):
+    """Each value's 17 significant digits as an integer in [1e16, 1e17),
+    correctly rounded, and its decimal exponent; 0 and 0 for a zero. Every
+    value is 0 or has 1e-11 < |x| < 2**53."""
+    zero = values == 0
+    size = np.where(zero, 1.0, np.abs(values))
+    fraction, exponent = np.frexp(size)
+    m = (fraction * 2.0**53).astype(np.uint64)
+    e2 = exponent.astype(np.int64) - 53
+    s = np.minimum(16 - np.floor(np.log10(size)), 27).astype(np.int64)  # log10 may round 1e-11 + ulp down
+    digits, up = _scaled_digits(m, e2, s)
+    off = np.flatnonzero((digits < _E16) | (digits >= _E17))  # log10 missed k by one
+    if off.size:
+        s[off] += np.where(digits[off] < _E16, 1, -1)
+        digits[off], up[off] = _scaled_digits(m[off], e2[off], s[off])
+    # rounding never carries to 1e17: that would take a double within 5e-18
+    # (relative) below a power of ten, and none of 1e-10..1e16 has one
+    digits += up
+    exp10 = 16 - s
+    digits[zero] = 0
+    exp10[zero] = 0
+    return digits, exp10
+
+
+def _ascii(digits):
+    """The 17 ASCII digits of each of ``digits`` in columns 7-23 of a
+    ``_CSV_WIDTH``-byte row, zeros elsewhere, and how many are significant."""
+    lead = digits // _E16
+    rest = digits - lead * _E16
+    eights = np.empty((digits.size, 2), dtype=np.uint64)
+    eights[:, 0] = rest // _E8
+    eights[:, 1] = rest - eights[:, 0] * _E8
+    high = eights // _E4
+    quads = _QUADS.take(np.stack([high, eights - high * _E4], axis=2).reshape(-1, 4))
+    rows = np.zeros((digits.size, _CSV_WIDTH), dtype=np.uint8)
+    rows[:, 7] = lead + ord("0")
+    rows.view("<u4")[:, 2:6] = quads  # columns 8-23, the low halves
+    last = quads >> 32  # each quad's last nonzero digit
+    count = np.maximum(np.maximum(last[:, 0] + 1, last[:, 1] + 5), np.maximum(last[:, 2] + 9, last[:, 3] + 13))
+    return rows, np.maximum(count, 1)
+
+
+def _csv_text(values, start, ncols) -> np.ndarray:
+    """The ``%.17g`` CSV bytes of ``values``, consecutive cells of a
+    row-major matrix with ``ncols`` columns from flat index ``start`` on;
+    each value is 0 or has 1e-11 < |x| < 2**53."""
+    digits, exp10 = _decimal(values)
+    plain, count = _ascii(digits)
+    moved = np.zeros_like(plain)  # the digits one byte on, for those after the point
+    moved.ravel()[1:] = plain.ravel()[:-1]
+    eol = np.zeros(values.size, dtype=bool)
+    eol[(ncols - 1 - start) % ncols :: ncols] = True
+    key = ((eol * 2 + np.signbit(values)) * (_X_HIGH - _X_LOW + 1) + exp10 - _X_LOW) * 17 + count - 1
+    text = _CSV_CONST.take(key, axis=0)
+    text |= plain.view(np.uint64) & _CSV_KEEP_PLAIN.take(key, axis=0)
+    text |= moved.view(np.uint64) & _CSV_KEEP_MOVED.take(key, axis=0)
+    del plain, moved  # before the compaction's index array, 8 bytes per byte of text
+    text = text.view(np.uint8).ravel()
+    return text.take(np.flatnonzero(text != 0))
 
 
 def save_json(path, obj) -> None:
@@ -375,6 +541,9 @@ def synth_generate(
     counts = {"n_clusters": n_clusters, "n_views": n_views, "n": n, "latent_dim": latent_dim}
     n_clusters, n_views, n, latent_dim = (check_int(name, value) for name, value in counts.items())
     view_dims = check_ints("view_dims", view_dims)
+    for name, value in (("separation", separation), ("noise", noise)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")
     lowest = (("n_clusters", n_clusters, 1), ("n_views", n_views, 1), ("n", n, 1), ("latent_dim", latent_dim, 1),

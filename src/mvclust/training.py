@@ -212,9 +212,11 @@ def _adam_epoch(graph, store, feeds, learning_rate, where) -> float:
             backward(graph, values, "loss", store)
         except NumericError as exc:
             raise NumericError(f"{where} batch {batch_no}: {exc}; parameter norms: {_diagnostics(store)}") from exc
+        loss = float(values["loss"])
+        del values  # else this step's table is still alive while the next forward builds its own
         store.adam_step(learning_rate)
         size = next(iter(inputs.values())).shape[0]
-        total += float(values["loss"]) * size
+        total += loss * size
         rows += size
     return total / rows
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mvclust import (
     save_dataset,
     synth_generate,
 )
+from mvclust import data as data_mod
 from mvclust.data import MultiViewDataset, save_matrix
 from mvclust.seeding import check_seed, rng_for
 
@@ -262,6 +264,38 @@ def test_a_dataset_needs_one_view_name_per_matrix(names):
         MultiViewDataset(name="x", view_names=names, matrices=[np.zeros((10, 3)), np.ones((5, 2))])
 
 
+@pytest.mark.parametrize(
+    "matrix, got",
+    [(np.float64(1.0), "float64"), (np.array(1.0), "shape ()"), ([[1.0, 2.0]], "list"), (np.zeros(3), "shape (3,)")],
+    ids=["numpy-scalar", "0-d", "nested-list", "1-d"],
+)
+@pytest.mark.parametrize("place", [0, 1], ids=["first", "second"])
+def test_a_dataset_names_a_view_that_is_not_a_2d_array(matrix, got, place):
+    # a list is refused, not converted: model_inputs hands the dataset's own arrays on
+    matrices = [np.zeros((1, 2)), np.zeros((1, 2))]
+    matrices[place] = matrix
+    name = ["a", "b"][place]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'view {name!r} must be a 2-D numpy array, got {got}')}$"):
+        MultiViewDataset(name="x", view_names=["a", "b"], matrices=matrices)
+
+
+@pytest.mark.parametrize("field", ["separation", "noise"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "5", True, None], ids=repr)
+def test_synth_names_a_separation_or_noise_that_is_not_a_finite_number(field, value):
+    # NaN slips past a `< 0` check and fills every view with NaN; a bool would read as 0 or 1
+    spec = dict(n_clusters=2, n_views=2, n=10, latent_dim=2, separation=3.0, view_dims=(3, 4), seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be a finite number, got {value!r}')}$"):
+        synth_generate(**{**spec, field: value})
+
+
+def test_synth_takes_numpy_numbers_for_separation_and_noise():
+    spec = dict(n_clusters=2, n_views=2, n=10, latent_dim=2, view_dims=(3, 4), seed=0)
+    ours = synth_generate(**spec, separation=np.int64(3), noise=np.float32(0.25))
+    plain = synth_generate(**spec, separation=3.0, noise=0.25)
+    for a, b in zip(ours.matrices, plain.matrices):
+        assert np.array_equal(a, b)
+
+
 def test_synth_needs_one_dim_per_view():
     with pytest.raises(ValueError, match=r"^need 3 view dims, got 2$"):
         synth_generate(n_clusters=2, n_views=3, n=10, latent_dim=2, separation=1.0, view_dims=(4, 5), seed=0)
@@ -308,12 +342,125 @@ def test_save_load_roundtrip_identical(tmp_path):
         assert np.array_equal(got, want)
 
 
+def _percent_g(mat) -> bytes:
+    """The writer's oracle: ``'%.17g' % value`` of each value, one at a time."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(mat).tolist()).encode()
+
+
+def _saved(path, mat) -> bytes:
+    save_matrix(path, mat)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_save_matrix_writes_the_bytes_of_savetxt(tmp_path, dtype):
     rng = np.random.default_rng(3)
     mat = (rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5)).clip(-30, 30)).astype(dtype)
     mat[0, :4] = [0.0, -0.0, np.inf, np.nan]
     mat[1, 0] = np.finfo(dtype).tiny
-    save_matrix(tmp_path / "ours.csv", mat)
     np.savetxt(tmp_path / "numpy.csv", mat, delimiter=",", fmt="%.17g")
-    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+    ours = _saved(tmp_path / "ours.csv", mat)
+    assert ours == (tmp_path / "numpy.csv").read_bytes() == _percent_g(mat)
+    # the same values in a chunk the numpy writer takes, and a stretch of N(0, 1) draws
+    fast = np.where((np.abs(mat) > 1e-11) & (np.abs(mat) < 2.0**53), mat, 0.5)
+    for mat in (fast, rng.standard_normal((300, 7)).astype(dtype)):
+        np.savetxt(tmp_path / "numpy.csv", mat, delimiter=",", fmt="%.17g")
+        assert _saved(tmp_path / "ours.csv", mat) == (tmp_path / "numpy.csv").read_bytes() == _percent_g(mat)
+
+
+def _fast_range_cases() -> np.ndarray:
+    """Values the numpy writer formats: exact ties of the 17th digit, powers of
+    ten and their neighbours, and the ends of the range, each of both signs."""
+    n = np.arange(10**15, 10**15 + 400, dtype=np.float64)
+    ties = [n + 0.25, n + 0.75, 2.0**51 - n % 1000 + 0.25, n // 10 + 0.125, n // 10 + 0.375, n // 100 + 0.0625]
+    tens = 10.0 ** np.arange(-10, 16)
+    ends = [np.nextafter(1e-11, 1), 1e-11 * 1.5, 2.0**53 - 1, 2.0**52, 2.0**52 + 1, 2.0**52 - 0.5, 0.0]
+    values = np.concatenate([*ties, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), ends])
+    return np.concatenate([values, -values])
+
+
+def test_save_matrix_writes_ties_powers_of_ten_and_range_ends_as_percent_g(tmp_path):
+    values = _fast_range_cases()
+    assert _saved(tmp_path / "ours.csv", values[:, None]) == _percent_g(values[:, None])
+    assert data_mod._csv_text(values, 0, 1).tobytes() == _percent_g(values[:, None])
+    # just outside the range: -0 apart, the Python formatter writes these
+    outside = np.array([1e-11, np.nextafter(1e-11, 0), 2.0**53, np.nextafter(2.0**53, np.inf), 1e-12, 1e17, 5e-324])
+    outside = np.concatenate([outside, -outside, [np.nan, np.inf, -np.inf, -0.0]])
+    assert _saved(tmp_path / "ours.csv", outside[:, None]) == _percent_g(outside[:, None])
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_FAST_FLOAT = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(min_value=1e-11, max_value=2.0**53, exclude_min=True, exclude_max=True).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_save_matrix_writes_any_float64_as_percent_g(tmp_path_factory, data, cols):
+    values = data.draw(st.lists(st.one_of(_ANY_FLOAT, _FAST_FLOAT), max_size=4 * cols))
+    mat = np.array(values[: len(values) // cols * cols], dtype=np.float64).reshape(-1, cols)
+    assert _saved(tmp_path_factory.mktemp("csv") / "m.csv", mat) == _percent_g(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FAST_FLOAT, min_size=1, max_size=60), st.integers(1, 5), st.integers(0, 4))
+def test_the_numpy_writer_gives_percent_g_over_its_range(values, cols, start):
+    values = np.array(values)
+    ends = (np.arange(start, start + values.size) % cols == cols - 1).tolist()
+    want = "".join("%.17g%s" % (v, "\n" if end else ",") for v, end in zip(values.tolist(), ends)).encode()
+    assert data_mod._csv_text(values, start, cols).tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [
+        ((0, 3), np.float64),
+        ((50, 1), np.float64),
+        ((2, data_mod._CSV_CHUNK + 7), np.float64),  # a row wider than a chunk
+        ((3 * (data_mod._CSV_CHUNK // 45) + 2, 45), np.float64),  # rows across chunk ends
+        ((40, 6), np.float32),
+        ((40, 6), np.int64),
+    ],
+    ids=["no-rows", "one-column", "row-wider-than-a-chunk", "rows-across-chunks", "float32", "int64"],
+)
+def test_save_matrix_writes_any_shape_and_dtype_as_savetxt(tmp_path, shape, dtype):
+    rng = np.random.default_rng(4)
+    mat = (rng.standard_normal(shape) * 1e3).astype(dtype)
+    if dtype == np.int64 and mat.size:
+        mat.flat[0] = 2**60  # beyond 2**53: the Python formatter takes its chunk
+    np.savetxt(tmp_path / "numpy.csv", mat, delimiter=",", fmt="%.17g")
+    assert _saved(tmp_path / "ours.csv", mat) == (tmp_path / "numpy.csv").read_bytes() == _percent_g(mat)
+
+
+def test_save_matrix_formats_a_chunk_with_any_value_outside_the_range_in_python(tmp_path, monkeypatch):
+    rows = data_mod._CSV_CHUNK // 4
+    mat = np.random.default_rng(5).standard_normal((3 * rows, 4))
+    mat[rows + 7, 2] = np.nan  # the middle chunk mixes it with values of the range
+    mat[rows + 9, 1] = 1e300
+    chunks = []
+    numpy_writer = data_mod._csv_text
+
+    def counted(values, *rest):
+        chunks.append(values.size)
+        return numpy_writer(values, *rest)
+
+    monkeypatch.setattr(data_mod, "_csv_text", counted)
+    assert _saved(tmp_path / "ours.csv", mat) == _percent_g(mat)
+    assert chunks == [rows * 4, rows * 4]  # the first and last chunk
+
+
+def test_save_matrix_holds_a_chunk_not_the_file(tmp_path):
+    mat = np.random.default_rng(6).standard_normal((20_000, 45))
+    tracemalloc.start()
+    try:
+        save_matrix(tmp_path / "m.csv", mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "m.csv").stat().st_size
+    assert text > 9_000_000 and peak < text / 8

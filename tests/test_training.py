@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,17 @@ from mvclust import (
     train,
 )
 from mvclust import metrics as metrics_mod
-from mvclust.training import DECAY_EVERY, LR_DECAY, TRAIN_DTYPE, _lloyd, load_checkpoint, save_checkpoint
+from mvclust import training as training_mod
+from mvclust.training import (
+    DECAY_EVERY,
+    LR_DECAY,
+    TRAIN_DTYPE,
+    _adam_epoch,
+    _lloyd,
+    _mse_graph_pair,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from helpers import mixture_moments, softmax, tiny_config
 
@@ -281,6 +292,29 @@ def test_lloyd_is_bitwise_the_masked_loop(case):
 
 
 # -- pretraining -----------------------------------------------------------------
+
+
+def test_an_adam_step_drops_its_values_before_the_next_forward(monkeypatch):
+    # two value tables alive at once would raise a fit's peak memory by one table
+    x = np.random.default_rng(0).standard_normal((512, 64))
+    rng = np.random.default_rng(1)
+    shapes = {"w": (64, 32), "b": (32,), "dw": (32, 64), "db": (64,)}
+    store = ParamStore([(name, rng.standard_normal(shape) * 0.1) for name, shape in shapes.items()])
+    alive = []
+
+    def counted_forward(*args, **kwargs):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return forward(*args, **kwargs)
+
+    forward = training_mod.forward
+    monkeypatch.setattr(training_mod, "forward", counted_forward)
+    tracemalloc.start()
+    try:
+        _adam_epoch(_mse_graph_pair(True), store, ({"x": x} for _ in range(3)), 1e-3, "test")
+    finally:
+        tracemalloc.stop()
+    # one table here is three 512 x 64 float64 arrays (768 KB) and a smaller one
+    assert len(alive) == 3 and max(alive) - min(alive) < x.nbytes / 4
 
 
 def test_pretrain_zero_epochs_leaves_random_init():
