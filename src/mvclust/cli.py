@@ -18,7 +18,7 @@ from .data import save_labels, save_matrix, synth_generate
 from .model import Model, assign_clusters, fused_posterior, generate, model_inputs
 from .numgrad import NumericError
 from .numgrad.params import write_atomic
-from .seeding import rng_for
+from .seeding import check_int, rng_for
 from .training import TrainConfig, evaluate, train
 
 
@@ -77,8 +77,7 @@ def cmd_embed(args) -> int:
 
 def cmd_generate(args) -> int:
     model = Model.load(args.model)
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    check_int("--count", args.count, 1)
     noise = rng_for(args.seed, "generate").standard_normal((args.count, model.config.latent_dim))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

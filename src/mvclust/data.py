@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
-import numbers
 import string
 import warnings
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ import numpy as np
 
 from .numgrad import as_tensor
 from .numgrad.params import write_atomic
-from .seeding import check_int, check_ints, rng_for
+from .seeding import check_int, check_ints, check_real, finite, rng_for
 
 MANIFEST_FILE = "manifest.json"
 # values per chunk of a CSV write: the vectorized writer's working set stays
@@ -403,15 +401,7 @@ def json_fits(value, kind: str) -> bool:
     if kind.startswith("tuple["):
         return isinstance(value, list) and all(json_fits(item, kind[6:-6]) for item in value)
     fits = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
-    return fits and (kind != "float" or _finite(value))
-
-
-def _finite(number) -> bool:
-    """Whether an int or float is a finite float64."""
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int beyond float64
-        return False
+    return fits and (kind != "float" or finite(value))
 
 
 def json_field(obj: dict, key: str, kind: str, where: str):
@@ -484,11 +474,14 @@ def load_dataset(manifest_path) -> MultiViewDataset:
 def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
     """Bernoulli: per-feature min-max to [0, 1]. Gaussian: per-feature
     standardization. Constant features map to 0 under either kind. Only a
-    raw dataset is taken; an already-normalized one raises ValueError."""
+    raw dataset with rows is taken; an already-normalized or empty one raises
+    ValueError."""
     if kind not in LIKELIHOODS:
         raise ValueError(f"unknown normalization kind {kind!r}")
     if dataset.normalization is not None:
         raise ValueError(f"dataset {dataset.name!r} is already normalized")
+    if dataset.n == 0:
+        raise ValueError(f"dataset {dataset.name!r} has no rows to normalize")
     offsets, scales = [], []
     for mat in dataset.matrices:
         if kind == "bernoulli":
@@ -512,8 +505,7 @@ def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
 def batch_iter(n: int, batch_size: int, seed: int, epoch: int, stream=()) -> list[np.ndarray]:
     """Seeded permutation of the ``n`` sample indices chunked into batches;
     the last batch may be short. A pure function of (seed, stream, epoch)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    n, batch_size = check_int("n", n, 0), check_int("batch_size", batch_size, 1)
     order = rng_for(seed, "batch", *stream, epoch).permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
@@ -539,18 +531,12 @@ def synth_generate(
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     counts = {"n_clusters": n_clusters, "n_views": n_views, "n": n, "latent_dim": latent_dim}
-    n_clusters, n_views, n, latent_dim = (check_int(name, value) for name, value in counts.items())
-    view_dims = check_ints("view_dims", view_dims)
-    for name, value in (("separation", separation), ("noise", noise)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _finite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    n_clusters, n_views, n, latent_dim = (check_int(name, value, 1) for name, value in counts.items())
+    view_dims = check_ints("view_dims", view_dims, 1)
+    check_real("separation", separation, 0)
+    check_real("noise", noise, 0)
     if len(view_dims) != n_views:
         raise ValueError(f"need {n_views} view dims, got {len(view_dims)}")
-    lowest = (("n_clusters", n_clusters, 1), ("n_views", n_views, 1), ("n", n, 1), ("latent_dim", latent_dim, 1),
-              ("view_dims", min(view_dims, default=1), 1), ("separation", separation, 0), ("noise", noise, 0))
-    for name, value, low in lowest:
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = rng_for(seed, "synth")
     labels = rng.integers(0, n_clusters, size=n)
     means = rng.normal(size=(n_clusters, latent_dim))

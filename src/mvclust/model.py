@@ -63,9 +63,9 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (2000, 500, 500)
 
     def __post_init__(self):
-        object.__setattr__(self, "view_dims", check_ints("view_dims", self.view_dims))
-        if not self.view_dims or any(d < 1 for d in self.view_dims):
-            raise ValueError(f"view_dims must be positive, got {self.view_dims}")
+        object.__setattr__(self, "view_dims", check_ints("view_dims", self.view_dims, 1))
+        if not self.view_dims:
+            raise ValueError("view_dims must name at least one view")
         check_architecture(self)
         if self.likelihood not in LIKELIHOODS:
             raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {self.likelihood!r}")
@@ -79,14 +79,9 @@ def check_architecture(config) -> None:
     """Check the fields every model config has, naming the offender; cast
     latent_dim and n_clusters to int and the hidden widths to int tuples."""
     for name in ("encoder_hidden", "decoder_hidden"):
-        widths = check_ints(name, getattr(config, name))
-        object.__setattr__(config, name, widths)
-        if any(w < 1 for w in widths):
-            raise ValueError(f"{name} widths must be >= 1, got {widths}")
+        object.__setattr__(config, name, check_ints(name, getattr(config, name), 1))
     for name in ("latent_dim", "n_clusters"):
-        object.__setattr__(config, name, check_int(name, getattr(config, name)))
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
+        object.__setattr__(config, name, check_int(name, getattr(config, name), 1))
 
 
 @dataclass
@@ -243,7 +238,7 @@ def _gamma_nodes(g: Graph, J: int, z: str, log_pi: str, means: str, logvars: str
     return g.div(gamma, g.sum(gamma, axis=1, keepdims=True))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: n_samples=True is refused, not a cached 1
 def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
     """The full training objective as one graph.
 
@@ -256,8 +251,7 @@ def build_elbo_graph(config: ModelConfig, n_samples: int = 1) -> Graph:
       elbo                              -- scalar batch mean
       loss                              -- -elbo, the minimization target
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = check_int("n_samples", n_samples, 1)
     m = config.n_views
     J = config.latent_dim
     g = Graph()

@@ -127,8 +127,12 @@ class ParamStore:
         element it computes ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*(g*g)`` and
         ``x - (lr*(m/c1)) / (sqrt(v/c2)+eps)`` under the ``ADAM_*`` constants.
         """
-        if not learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        try:  # an infinite rate would turn every parameter into NaN
+            finite = math.isfinite(learning_rate)
+        except OverflowError:  # an int beyond float64
+            finite = False
+        if not (finite and learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
         t = self.step + 1
         c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
         scratch_a = np.empty(min(_BLOCK, self._value.size), dtype=self.dtype)

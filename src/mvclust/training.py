@@ -22,7 +22,7 @@ from .model import Model, ModelConfig, _enc, assign_clusters, check_architecture
 from .model import fused_posterior
 from .numgrad import Graph, NumericError, ParamStore, backward, forward
 from .numgrad.params import write_atomic
-from .seeding import check_int, check_seed, rng_for
+from .seeding import check_int, check_real, check_seed, rng_for
 
 CHECKPOINT_STATE_FILE = "state.json"
 HISTORY_FILE = "history.csv"
@@ -55,14 +55,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_architecture(self)
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        check_real("learning_rate", self.learning_rate, above=0)
         lowest = {"batch_size": 1, "mc_samples": 1, "epochs": 0, "pretrain_epochs": 0,
                   "finetune_epochs": 0, "checkpoint_every": 0, "eval_every": 0}
         for name, low in lowest.items():
-            setattr(self, name, check_int(name, getattr(self, name)))
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+            setattr(self, name, check_int(name, getattr(self, name), low))
         self.seed = check_seed(self.seed)
 
     @classmethod
@@ -161,8 +158,9 @@ def kmeans(points, n_clusters: int, seed: int) -> KMeansResult:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a (n, d) matrix")
-    if check_int("n_clusters", n_clusters) < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite, got NaN or infinity")
+    n_clusters = check_int("n_clusters", n_clusters, 1)
     if points.shape[0] < n_clusters:
         raise ValueError(f"need at least {n_clusters} points, got {points.shape[0]}")
     best = None
@@ -270,7 +268,10 @@ def pretrain_autoencoders(model: Model, dataset: MultiViewDataset, config: Train
             stream, where = ("pretrain", v, stage), f"pretrain view {v} stage {stage}"
             stage_losses.append(_pretrain(graph, params, current, config.pretrain_epochs, config, stream, where))
             if hidden:
-                current = np.maximum(current @ w + b, 0.0)
+                # in place, as the engine's `linear`: one (n, width) array where `maximum(x @ w + b, 0)` held two
+                current = current @ w
+                current += b
+                np.maximum(current, 0.0, out=current)
 
         graph = _finetune_graph(mcfg, v)
         params = {name: model.params[name] for name in graph.params}

@@ -100,7 +100,7 @@ def test_train_has_no_seed_flag(workspace, tmp_path, capsys):
         ({"n_clusters": 3, "eval_every": -5}, "eval_every must be >= 0"),
         ({"n_clusters": 3, "checkpoint_every": -1}, "checkpoint_every must be >= 0"),
         ({"n_clusters": 3, "likelihood": "poisson"}, "config.json has unknown fields ['likelihood']"),
-        ({"n_clusters": 3, "encoder_hidden": [0]}, "encoder_hidden widths must be >= 1, got (0,)"),
+        ({"n_clusters": 3, "encoder_hidden": [0]}, "encoder_hidden[0] must be >= 1, got 0"),
         ({"n_clusters": 500}, "n_clusters 500 exceeds the 120 rows of dataset 'demo'"),
     ],
     ids=["not-an-object", "missing-field", "wrong-type", "negative-eval-every", "negative-checkpoint-every",
@@ -548,7 +548,7 @@ def test_generate_of_no_samples_exits_2(workspace, tmp_path, capsys):
     out = tmp_path / "gen"
     argv = ["generate", "--model", str(workspace["model"]), "--cluster", "0", "--count", "0", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: --count must be >= 1\n"
+    assert capsys.readouterr().err == "error: --count must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -558,7 +558,7 @@ def test_descriptor_of_an_invalid_model_exits_2_naming_the_file(workspace, tmp_p
     path = _damage_descriptor(model_dir, lambda d: d["model"].update(latent_dim=0))
     out = tmp_path / "l.txt"
     assert main(["assign", "--model", str(model_dir), "--manifest", str(workspace["manifest"]), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: model descriptor {path} is invalid: latent_dim must be >= 1\n"
+    assert capsys.readouterr().err == f"error: model descriptor {path} is invalid: latent_dim must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -731,7 +731,7 @@ def test_every_json_input_names_the_file_and_the_field(workspace, tmp_path, caps
         err = capsys.readouterr().err
         assert not (tmp_path / "out").exists()
     assert str(path) in err
-    assert re.search(rf"'{field}'|: {field} must be", err), err
+    assert re.search(rf"'{field}'|: {field}(\[\d+\])? must be", err), err
 
 
 @pytest.mark.parametrize("what", ["descriptor", "state"])

@@ -165,6 +165,14 @@ def test_normalize_rejects_an_already_normalized_dataset():
             normalize(normalize(ds, first), second)
 
 
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_normalize_rejects_a_dataset_with_no_rows(kind):
+    # its offsets would be NaN, the mean or min of no values
+    ds = MultiViewDataset("t", ["a", "b"], [np.zeros((0, 2)), np.zeros((0, 3))])
+    with pytest.raises(ValueError, match=r"^dataset 't' has no rows to normalize$"):
+        normalize(ds, kind)
+
+
 def test_record_reapplication_is_exact():
     rng = np.random.default_rng(2)
     mats = [rng.uniform(0, 4, (30, 3)), rng.standard_normal((30, 2))]
@@ -188,6 +196,23 @@ def test_batch_iter_sizes_and_coverage():
     batches = batch_iter(5, 2, seed=0, epoch=0)
     assert [len(b) for b in batches] == [2, 2, 1]
     assert sorted(np.concatenate(batches)) == list(range(5))
+
+
+@pytest.mark.parametrize(
+    "n, batch_size, named",
+    [
+        (10, 2.5, "batch_size must be an integer, got 2.5"),
+        (10, True, "batch_size must be an integer, got True"),
+        (10, 0, "batch_size must be >= 1, got 0"),
+        (2.5, 2, "n must be an integer, got 2.5"),
+        (True, 2, "n must be an integer, got True"),
+        (-1, 2, "n must be >= 0, got -1"),
+    ],
+    ids=["float-batch", "bool-batch", "zero-batch", "float-n", "bool-n", "negative-n"],
+)
+def test_batch_iter_names_a_size_that_is_not_an_integer_in_range(n, batch_size, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        batch_iter(n, batch_size, seed=0, epoch=0)
 
 
 def test_batch_iter_pure_function_of_seed_epoch():
@@ -280,7 +305,9 @@ def test_a_dataset_names_a_view_that_is_not_a_2d_array(matrix, got, place):
 
 
 @pytest.mark.parametrize("field", ["separation", "noise"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "5", True, None], ids=repr)
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), np.float32("inf"), "5", True, None], ids=repr
+)
 def test_synth_names_a_separation_or_noise_that_is_not_a_finite_number(field, value):
     # NaN slips past a `< 0` check and fills every view with NaN; a bool would read as 0 or 1
     spec = dict(n_clusters=2, n_views=2, n=10, latent_dim=2, separation=3.0, view_dims=(3, 4), seed=0)

@@ -573,6 +573,18 @@ def test_graphs_are_built_once_per_config():
     assert a.encoder_graph(1) is b.encoder_graph(1) and a.decoder_graph() is b.decoder_graph()
 
 
+@pytest.mark.parametrize(
+    "n_samples, named",
+    [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"), (0, "must be >= 1, got 0")],
+    ids=["float", "bool", "zero"],
+)
+def test_elbo_graph_names_a_sample_count_that_is_not_a_positive_integer(n_samples, named):
+    model = Model.initialize(tiny_config("gaussian"), seed=0)
+    model.elbo_graph(1)  # a cached graph for 1 is not handed out for True
+    with pytest.raises(ValueError, match=f"^n_samples {named}$"):
+        model.elbo_graph(n_samples)
+
+
 def test_elbo_nonrecon_terms_match_quadrature():
     # J=1, K=2: the analytic Gaussian-KL + categorical + entropy terms must
     # equal the integral decomposition E_q[log p(z, c-average)] - E_q[log q],

@@ -1,6 +1,7 @@
 """ParamStore state, Adam updates, checkpoint format."""
 
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -179,9 +180,13 @@ def test_adam_leaves_gradients_intact():
 
 
 def test_adam_hyperparameter_validation():
+    # an infinite rate would turn every parameter into NaN with only a warning
     store = _store_with()
-    with pytest.raises(ValueError):
-        store.adam_step(learning_rate=0.0)
+    for rate in (0.0, -1e-3, float("inf"), float("nan"), np.float32("inf"), 10**400):
+        named = re.escape(f"learning_rate must be a finite number > 0, got {rate!r}")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            store.adam_step(learning_rate=rate)
+    assert store.step == 0 and np.all(np.isfinite(store["p"]))
 
 
 def test_checkpoint_roundtrip_is_bit_identical(tmp_path):

@@ -86,16 +86,31 @@ def test_config_defaults_match_protocol():
 
 
 def test_config_validation():
-    for kwargs in (
-        {"n_clusters": 0},
-        {"n_clusters": 2, "learning_rate": 0.0},
-        {"n_clusters": 2, "batch_size": 0},
-        {"n_clusters": 2, "epochs": -1},
-        {"n_clusters": 2, "seed": -3},
-        {"n_clusters": 2, "mc_samples": 0},
+    # a learning rate that is infinite, beyond float64 or not a number is
+    # refused here as a config file refuses it, naming the field
+    for kwargs, named in (
+        ({"n_clusters": 0}, "n_clusters must be >= 1, got 0"),
+        ({"n_clusters": 2, "learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+        ({"n_clusters": 2, "learning_rate": -1e-3}, "learning_rate must be > 0, got -0.001"),
+        ({"n_clusters": 2, "learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
+        ({"n_clusters": 2, "learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
+        ({"n_clusters": 2, "learning_rate": 10**400}, f"learning_rate must be a finite number, got {10**400!r}"),
+        ({"n_clusters": 2, "learning_rate": True}, "learning_rate must be a finite number, got True"),
+        ({"n_clusters": 2, "learning_rate": None}, "learning_rate must be a finite number, got None"),
+        ({"n_clusters": 2, "learning_rate": "1e-3"}, "learning_rate must be a finite number, got '1e-3'"),
+        ({"n_clusters": 2, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"n_clusters": 2, "epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"n_clusters": 2, "seed": -3}, "seed must be in [0, 2**64), got -3"),
+        ({"n_clusters": 2, "mc_samples": 0}, "mc_samples must be >= 1, got 0"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             TrainConfig(**kwargs)
+        assert str(caught.value) == named
+
+
+def test_config_takes_numpy_and_integer_learning_rates_as_they_are():
+    for rate in (np.float32(1e-3), np.float64(1e-3), np.int64(1), 1):
+        assert TrainConfig(n_clusters=2, learning_rate=rate).learning_rate is rate
 
 
 _COUNT_FIELDS = ("epochs", "batch_size", "pretrain_epochs", "finetune_epochs", "mc_samples",
@@ -192,6 +207,15 @@ def test_kmeans_rejects_a_cluster_count_that_is_not_an_integer(n_clusters):
     with pytest.raises(ValueError) as caught:
         kmeans(np.zeros((4, 3)), n_clusters, seed=0)
     assert str(caught.value) == f"n_clusters must be an integer, got {n_clusters!r}"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kmeans_rejects_points_that_are_not_finite(bad):
+    # k-means++ would otherwise fail inside rng.choice on NaN probabilities
+    points = np.arange(12.0).reshape(4, 3)
+    points[2, 1] = bad
+    with pytest.raises(ValueError, match=r"^points must be finite, got NaN or infinity$"):
+        kmeans(points, 2, seed=0)
 
 
 def test_kmeans_rejects_points_that_are_not_a_matrix():
@@ -346,6 +370,27 @@ def test_greedy_pretraining_writes_only_the_encoder_through_its_views():
     for name in model.params.names():
         if name.startswith("dec"):
             assert np.array_equal(model.params[name], before[name]), name
+
+
+def test_a_greedy_stage_writes_the_next_input_in_place():
+    # the product, the bias and the ReLU are written into one (n, width)
+    # array, where `maximum(x @ w + b, 0)` held more than one at a time
+    n, width = 4000, 256
+    mat = np.random.default_rng(0).standard_normal((n, 3))
+    from mvclust.data import MultiViewDataset
+
+    dataset = normalize(MultiViewDataset("wide", ["a"], [mat]), "gaussian")
+    config = small_config(pretrain_epochs=0, finetune_epochs=0, encoder_hidden=(width,), decoder_hidden=(4,))
+    mcfg = ModelConfig(dataset.dims, 2, 3, "gaussian", (width,), (4,))
+    model = Model.initialize(mcfg, seed=0, dtype=TRAIN_DTYPE)
+    tracemalloc.start()
+    try:
+        pretrain_autoencoders(model, dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stage_input = n * width * np.dtype(TRAIN_DTYPE).itemsize
+    assert stage_input < peak < 1.5 * stage_input
 
 
 def test_pretrain_losses_trend_down():
