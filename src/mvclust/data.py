@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import string
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,9 +134,10 @@ def _find_bad_row(path: Path):
     """What is wrong with the first row the matrix reader refuses, in the
     program's words: a cell that is not a finite number, or a row whose cell
     count is not the first row's. Rows are the file's lines, counted from 0;
-    a blank line, which the reader skips, is compared with none."""
+    a blank line, which the reader skips, is compared with none. A byte the
+    text encoding cannot decode is shown as ``\\xNN`` in its cell."""
     first = None
-    with open(path) as handle:
+    with open(path, errors="backslashreplace") as handle:
         for row, line in enumerate(handle):
             count = _finite_cells(line)
             if count is None:
@@ -149,6 +152,20 @@ def _find_bad_row(path: Path):
 
 
 def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
+    """The (``n``, ``dim``) float64 matrix of view ``view_name`` in the CSV at
+    ``path``, as ``np.loadtxt(path, delimiter=",", ndmin=2)`` reads it.
+
+    A file of that shape whose every cell is a plain decimal
+    (``[+-]?digits[.digits]([eE][+-]?digits)?``) between "," and "\\n",
+    with 16 digits a cell or more on average, as ``save_matrix`` writes, is
+    read by ``_read_csv`` in blocks of whole lines, at about twice the speed;
+    it gives the same bits. Any other file (blank lines, "\\r", spaces,
+    comments, ``nan``/``inf``, non-ASCII bytes, another shape, an unreadable
+    path) and any platform without an 80-bit long double is read by
+    ``np.loadtxt``, which also words every error."""
+    mat = _read_csv(path, n, dim)
+    if mat is not None:
+        return mat
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the shape check reports it
@@ -166,12 +183,154 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     return np.ascontiguousarray(mat)
 
 
+# The numpy reader of ``_load_matrix``, the counterpart of ``save_matrix``'s
+# writer. The non-digit bytes of a block are its whole structure: each must
+# follow the one before it by a rule of ``_FOLLOWS``, and the separators give
+# the cells and rows. A cell's digits with its point and sign deleted are an
+# integer M (strtoll, through ``np.fromstring``), and with k digits after the
+# point its value is +-M / 10**k. For M < 10**18 and k <= 27 both are exact in
+# the x87 long double's 64-bit significand (10**27 = 2**27 * 5**27 and
+# 5**27 < 2**63), so the division rounds once, to 64 bits. Rounding that to
+# float64 is the correctly rounded value unless the 64-bit result lies on a
+# float64 midpoint, which its low 11 bits show (0x400); see Lemire, "Number
+# Parsing at a Gigabyte per Second", SPE 2021. Those cells, longer mantissas,
+# k > 27 and cells with an exponent are read by Python's float(), which rounds
+# correctly, as np.loadtxt does. The gain is in cells of 16 digits or more,
+# which strtod cannot read in double arithmetic: a block of shorter cells, or
+# of many cells for float(), is left to np.loadtxt.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"  # x87 80-bit
+_CSV_BLOCK = 1 << 17  # bytes read at a time: a block's temporaries stay in cache
+# np.loadtxt's strtod reads a decimal of at most 15 significant digits in exact
+# double arithmetic, as fast as this reader: a block averaging fewer than this
+# many digits a cell goes to it
+_CELL_DIGITS = 16
+# float() of a cell costs about as much as ten cells in numpy: a block may send
+# this many, and a 32nd of its cells, to it before np.loadtxt is the faster
+_SLOW_CELLS = 64
+# the kinds of non-digit byte: separator, sign, point, exponent mark, exponent sign
+_SEP, _SIGN, _POINT, _EXP, _EXP_SIGN = range(5)
+
+
+def _reader_tables():
+    """The grammar written once: each byte's kind (255 outside the grammar);
+    whether a kind may follow another, indexed (previous * 5 + kind) * 2 +
+    (any digits between them); and the divisors 10**k, then -10**k at k + 28,
+    as long doubles, each exact, for k in [0, 27]."""
+    kinds = np.full(256, 255, dtype=np.uint8)
+    for chars, kind in ((b",\n", _SEP), (b"+-", _SIGN), (b".", _POINT), (b"eE", _EXP)):
+        kinds[list(chars)] = kind
+    follows = np.zeros((5, 5, 2), dtype=bool)
+    for rule in "SG0 SP1 SE1 SS1 GP1 GE1 GS1 PE1 PS1 Ex0 ES1 xS1".split():  # S, G, P, E, x: as the kinds above
+        follows["SGPEx".index(rule[0]), "SGPEx".index(rule[1]), int(rule[2])] = True
+    pow10 = np.ones(28, dtype=np.longdouble)
+    for k in range(1, 28):
+        pow10[k] = pow10[k - 1] * 10
+    return kinds, follows.ravel(), np.concatenate([pow10, -pow10])
+
+
+_KINDS, _FOLLOWS, _POW10 = _reader_tables()
+_NEWLINE_AS_COMMA = bytes.maketrans(b"\n", b",")
+_LONG_WORDS = np.dtype(np.longdouble).itemsize // 2  # uint16 words per long double; the first holds the low bits
+
+
+def _read_csv(path: Path, n: int, dim: int):
+    """The (``n``, ``dim``) matrix in the CSV at ``path`` when every cell and
+    row is in the fast grammar and the file holds that shape, else None."""
+    if not _EXTENDED:
+        return None
+    try:
+        with open(path, "rb") as handle:
+            # a cell takes at least 2 bytes, a last one without its newline 1:
+            # a file too short for the manifest's shape is not allocated for
+            if 2 * n * dim - 1 > os.fstat(handle.fileno()).st_size:
+                return None
+            out = np.empty(n * dim)
+            done = 0
+            for text in _line_blocks(handle):
+                cells = _parse_block(text, dim, out[done:])
+                if cells is None:
+                    return None
+                done += cells
+    except OSError:
+        return None
+    return out.reshape(n, dim) if done == out.size else None
+
+
+def _line_blocks(handle):
+    """The bytes of ``handle`` in blocks of whole lines of about
+    ``_CSV_BLOCK`` bytes, a last line without its newline given one."""
+    pieces = []
+    while block := handle.read(_CSV_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pieces, block[:cut]])
+            pieces = [block[cut:]]
+        else:  # a line longer than a block
+            pieces.append(block)
+    if any(pieces):
+        yield b"".join([*pieces, b"\n"])
+
+
+def _parse_block(text: bytes, dim: int, out: np.ndarray):
+    """Parse ``text``, whole lines of ``dim`` cells each, into the start of
+    the flat ``out``; the number of cells, or None if a byte, a cell or a row
+    is outside the grammar, ``out`` is too short, or np.loadtxt reads the
+    block at least as fast (short cells, or many cells for float())."""
+    b = np.frombuffer(text, dtype=np.uint8)
+    at = np.flatnonzero(b < 48 if b.max() < 58 else np.subtract(b, 48, dtype=np.uint8) > 9)
+    char = b.take(at)
+    kind = _KINDS.take(char)
+    if kind.max() > _EXP:
+        return None
+    exponents = np.flatnonzero(kind == _EXP)
+    if exponents.size:
+        kind[1:][(kind[1:] == _SIGN) & (kind[:-1] == _EXP)] = _EXP_SIGN
+    key = kind * 2  # the first non-digit follows a line end, of kind _SEP = 0
+    key[1:] += kind[:-1] * 10
+    key[0] += at[0] > 0
+    key[1:] += at[1:] - at[:-1] > 1
+    if not _FOLLOWS.take(key).all():
+        return None
+    seps = np.flatnonzero(kind == _SEP)
+    cells = seps.size
+    line_ends = char.take(seps) == ord("\n")  # every row must end at its dim-th cell
+    if cells > out.size or np.count_nonzero(line_ends) * dim != cells or not line_ends[dim - 1 :: dim].all():
+        return None
+    if len(text) - at.size < _CELL_DIGITS * cells:
+        return None
+    ends = at.take(seps)
+    first = np.empty(cells, dtype=np.intp)  # each cell's first non-digit
+    first[0] = 0
+    np.add(seps[:-1], 1, out=first[1:])
+    lead = char.take(first)
+    negative = lead == ord("-")
+    first += negative | (lead == ord("+"))
+    k = ends - at.take(first) - 1
+    k *= kind.take(first) == _POINT
+    mantissas = np.fromstring(text.translate(_NEWLINE_AS_COMMA, b".+-eE"), dtype=np.int64, sep=",", count=cells)
+    values = mantissas.astype(np.longdouble)
+    values /= _POW10.take(np.minimum(k, 27) + 28 * negative)
+    slow = values.view(np.uint16)[::_LONG_WORDS] & 0x7FF == 0x400
+    slow |= (mantissas >= 10**18) | (k > 27)  # strtoll caps an overflow at 2**63 - 1
+    if exponents.size:
+        slow[np.searchsorted(seps, exponents)] = True
+    if np.count_nonzero(slow) > _SLOW_CELLS + cells // 32:  # np.loadtxt reads, e.g., "%.18e" cells faster
+        return None
+    out[:cells] = values
+    for cell in np.flatnonzero(slow).tolist():
+        start = ends[cell - 1] + 1 if cell else 0
+        out[cell] = float(text[start : ends[cell]])
+        if not finite(out[cell]):  # 1e999: np.loadtxt reads inf, which the error reports
+            return None
+    return cells
+
+
 def load_labels(path, n) -> np.ndarray:
     """One non-negative integer in ASCII digits per non-blank line; with
     ``n`` not None the file must hold exactly ``n`` of them. A ``LoadError``
     names the file."""
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", errors="backslashreplace") as handle:  # an undecodable byte reads as \xNN
             text = handle.read()
     except OSError as exc:
         raise LoadError(f"cannot read labels file {path}: {exc}") from exc

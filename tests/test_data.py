@@ -1,5 +1,6 @@
 """Dataset loading, normalization, batching, synthetic generator."""
 
+import decimal
 import itertools
 import json
 import re
@@ -78,6 +79,15 @@ def test_unparsable_cell_names_row_and_column(tmp_path):
         assert f"view 'v0': cell '{cell}' at {tmp_path / 'v0.csv'} row 1 column 1" in str(caught.value)
 
 
+def test_a_byte_the_text_encoding_cannot_decode_is_named_by_its_cell(tmp_path):
+    path = _write_dataset(tmp_path, [np.zeros((2, 2))])
+    (tmp_path / "v0.csv").write_bytes(b"1,2\n3,\xa04\n")
+    with pytest.raises(LoadError) as caught:
+        load_dataset(path)
+    cell = "'\\\\xa04'"  # the byte as the repr of a backslash escape
+    assert str(caught.value) == f"view 'v0': cell {cell} at {tmp_path / 'v0.csv'} row 1 column 1 is not a finite number"
+
+
 def test_ragged_csv_names_both_rows_counted_from_0(tmp_path):
     # the blank line is skipped, as the reader skips it, but keeps its number
     path = _write_dataset(tmp_path, [np.zeros((2, 2))])
@@ -127,6 +137,14 @@ def test_label_not_in_ascii_digits_rejected(tmp_path, token):
     with pytest.raises(LoadError) as caught:
         load_dataset(path)
     assert f"labels file {tmp_path / 'labels.txt'} row 1: {token!r} is not an integer" in str(caught.value)
+
+
+def test_a_label_byte_the_text_encoding_cannot_decode_is_named_by_its_row(tmp_path):
+    path = _write_dataset(tmp_path, [np.zeros((2, 2))], labels=[0, 1])
+    (tmp_path / "labels.txt").write_bytes(b"0\n\xa01\n")
+    with pytest.raises(LoadError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"labels file {tmp_path / 'labels.txt'} row 1: '\\\\xa01' is not an integer"
 
 
 def test_missing_manifest_field(tmp_path):
@@ -491,3 +509,189 @@ def test_save_matrix_holds_a_chunk_not_the_file(tmp_path):
         tracemalloc.stop()
     text = (tmp_path / "m.csv").stat().st_size
     assert text > 9_000_000 and peak < text / 8
+
+
+def _loadtxt(path) -> np.ndarray:
+    """The reader's oracle: ``np.loadtxt`` as ``_load_matrix`` calls it."""
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+
+
+def _assert_read_fast_as_loadtxt(path):
+    """The numpy reader takes the file where the platform has it, and every
+    value of it has the bits ``np.loadtxt`` gives, in the same shape."""
+    want = _loadtxt(path)
+    got = data_mod._read_csv(path, *want.shape)
+    assert (got is not None) == data_mod._EXTENDED
+    assert data_mod._load_matrix(path, *want.shape, "v0").tobytes() == want.tobytes()
+    assert got is None or (got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+# A cell as save_matrix writes one. The numpy reader takes a block only where
+# its cells average 16 digits or more, so 16 of these for each short cell
+# under test keep a file on it.
+_LONG = 0.12345678901234567
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_the_reader_reads_save_matrix_output_of_any_float64_as_loadtxt(tmp_path_factory, data, cols):
+    finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    values = data.draw(st.lists(st.one_of(finite, _FAST_FLOAT), min_size=cols, max_size=4 * cols))
+    mat = np.array(values[: len(values) // cols * cols], dtype=np.float64).reshape(-1, cols)
+    mat = np.hstack([mat, np.full((mat.shape[0], 16 * cols), _LONG)])
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    save_matrix(path, mat)
+    _assert_read_fast_as_loadtxt(path)
+    assert data_mod._load_matrix(path, *mat.shape, "v0").tobytes() == mat.tobytes()  # -0.0 included
+
+
+def _midpoint_text(x: float, digits: int) -> str:
+    """The midpoint between ``x`` and the next float64 up, rounded to
+    ``digits`` significant digits, in plain notation."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
+        return format(decimal.Decimal(format(mid, f".{digits - 1}e")), "f")
+
+
+# Cells whose quotient rounds to a float64 midpoint in 64 bits, though the
+# decimal is not one: rounded on to 53 bits, that quotient is one float64 off
+_DOUBLE_ROUNDING_TRAPS = [
+    "8.2787489122662139", "0.66063264594114951", "9834.0048832911516",
+    "96.5002776235756059", "9.44932661895571524",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "cells, fast",
+    [
+        (["+1", "-0", "-0.0", "0", "+0.000", "007", "-000.5000", "123456789012345678"], True),
+        (["5.", ".5", "-.5", "+5."], False),  # bare points are outside the grammar
+        (["1234567890123456789", "-9223372036854775807", "9223372036854775808", "99999999999999999999"], True),
+        (["1.234567890123456789012345", "-0.000000000000000000000000001", "0.0000000000000000000000000001"], True),
+        (["1E+05", "1e5", "-2e-300", "2E-300", "1.5e+300", "-0e0", "4.9406564584124654e-324"], True),
+        (_DOUBLE_ROUNDING_TRAPS + ["-" + cell for cell in _DOUBLE_ROUNDING_TRAPS], True),
+        ([_midpoint_text(x, digits) for x in (1.0, 0.1, 3.0e10, 2.0**52, 2.0**-20) for digits in (17, 18)], True),
+    ],
+    ids=["signs-and-zeros", "bare-points", "long-integers", "long-fractions", "exponents", "traps", "midpoints"],
+)
+def test_the_reader_reads_hand_built_cells_as_loadtxt(tmp_path, cells, fast):
+    path = tmp_path / "m.csv"
+    cells = cells + [repr(_LONG)] * (16 * len(cells))
+    for cols in (1, len(cells)):  # one column, one row
+        path.write_text("".join(",".join(row) + "\n" for row in np.reshape(cells, (-1, cols)).tolist()))
+        if fast:
+            _assert_read_fast_as_loadtxt(path)
+        else:
+            assert data_mod._read_csv(path, len(cells) // cols, cols) is None
+            assert data_mod._load_matrix(path, len(cells) // cols, cols, "v0").tobytes() == _loadtxt(path).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-11, max_value=1e17, allow_subnormal=False), st.sampled_from([17, 18]), st.booleans())
+def test_the_reader_reads_float64_midpoints_written_to_17_and_18_digits_as_loadtxt(tmp_path_factory, x, digits, neg):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text(("-" if neg else "") + _midpoint_text(x, digits) + "\n")  # 17 digits or more
+    _assert_read_fast_as_loadtxt(path)
+
+
+@pytest.mark.skipif(not data_mod._EXTENDED, reason="the traps are traps of the x87 long double")
+def test_the_double_rounding_traps_need_the_midpoint_test():
+    # rounded to float64, the long double quotient of each is one float64 off
+    for cell in _DOUBLE_ROUNDING_TRAPS:
+        whole, fraction = cell.split(".")
+        quotient = np.longdouble(int(whole + fraction)) / data_mod._POW10[len(fraction)]
+        assert np.float64(quotient) != float(cell)
+
+
+_ROWS = b"0.12345678901234567,-2.5000000000000004\n3.3333333333333335,4.2500000000000009\n"
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        (_ROWS, True),
+        (_ROWS[:-1], True),  # no final newline
+        (_ROWS.replace(b"\n", b"\n\n", 1), False),  # a blank line
+        (_ROWS + b"\n", False),
+        (_ROWS.replace(b"\n", b"\r\n"), False),
+        (_ROWS.replace(b",", b", "), False),
+        (b"# two rows\n" + _ROWS, False),
+        (b"0.125,-2.5\n3.25,4.25\n", False),  # cells of fewer than 16 digits: np.loadtxt is as fast
+    ],
+    ids=["plain", "no-final-newline", "blank-line", "blank-last-line", "crlf", "spaces", "comment", "short-cells"],
+)
+def test_the_reader_takes_only_its_grammar_and_reads_every_layout_as_loadtxt(tmp_path, text, fast):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    assert (data_mod._read_csv(path, 2, 2) is not None) == (fast and data_mod._EXTENDED)
+    want = _loadtxt(path)
+    assert want.shape == (2, 2) and data_mod._load_matrix(path, 2, 2, "v0").tobytes() == want.tobytes()
+
+
+def _rows(*rows: list) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+_EIGHT = [repr(_LONG)] * 8
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _rows(_EIGHT, ["-0"] + _EIGHT[1:]), _rows(_EIGHT, _EIGHT, _EIGHT), _rows(_EIGHT + ["1"], _EIGHT + ["1"]),
+        _rows(*[_EIGHT[:1]] * 16), _rows(_EIGHT), _rows(_EIGHT, _EIGHT[1:]), _rows(_EIGHT, _EIGHT + ["1"]),
+        _rows(_EIGHT, _EIGHT[4:], _EIGHT[4:]), _rows(_EIGHT, ["oops"] + _EIGHT[1:]),
+        _rows(_EIGHT, ["nan"] + _EIGHT[1:]), _rows(_EIGHT, ["1e999"] + _EIGHT[1:]),
+        b"", b"\n", _rows(_EIGHT, _EIGHT[1:]).replace(b"\n", b",\xa04\n"), None,
+    ],
+    ids=[
+        "valid", "more-rows", "more-columns", "one-column", "one-row", "short-row", "long-row", "two-short-rows",
+        "word", "nan", "overflow", "empty", "blank", "not-utf-8", "missing",
+    ],
+)
+def test_the_loadtxt_path_gives_the_same_matrix_or_error(tmp_path, monkeypatch, text):
+    path = tmp_path / "v0.csv"
+    if text is not None:
+        path.write_bytes(text)
+
+    def outcome():
+        try:
+            return data_mod._load_matrix(path, 2, 8, "v0").tobytes()
+        except LoadError as exc:
+            return str(exc)
+
+    fast = outcome()
+    monkeypatch.setattr(data_mod, "_EXTENDED", False)  # as on a platform without an 80-bit long double
+    assert data_mod._read_csv(path, 2, 8) is None
+    assert outcome() == fast
+
+
+def test_a_manifest_shape_larger_than_the_file_is_reported_not_allocated(tmp_path):
+    path = tmp_path / "v0.csv"
+    path.write_bytes(_rows(_EIGHT, _EIGHT))
+    with pytest.raises(LoadError) as caught:
+        data_mod._load_matrix(path, 10**12, 8, "v0")  # 64 PB of float64
+    assert str(caught.value) == f"view 'v0': {path} has shape (2, 8), manifest declares ({10**12}, 8)"
+
+
+def test_the_reader_holds_a_block_not_the_file(tmp_path):
+    mat = np.random.default_rng(7).standard_normal((20_000, 45))
+    save_matrix(tmp_path / "m.csv", mat)
+    tracemalloc.start()
+    try:
+        got = data_mod._load_matrix(tmp_path / "m.csv", *mat.shape, "v0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "m.csv").stat().st_size
+    assert got.tobytes() == mat.tobytes()
+    assert text > 9_000_000 and peak - mat.nbytes < text / 8, (peak - mat.nbytes, text)
+
+
+def test_a_block_of_many_exponent_cells_goes_to_loadtxt(tmp_path):
+    # float() per cell is slower than np.loadtxt: numpy's default "%.18e" cells go to it
+    mat = np.random.default_rng(8).standard_normal((20, 10))
+    np.savetxt(tmp_path / "m.csv", mat, delimiter=",")
+    assert data_mod._read_csv(tmp_path / "m.csv", 20, 10) is None
+    assert data_mod._load_matrix(tmp_path / "m.csv", 20, 10, "v0").tobytes() == mat.tobytes()
