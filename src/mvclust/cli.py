@@ -2,7 +2,8 @@
 
 Every command is a thin shell over one library call. Reports are plain
 ``key: value`` text or CSV; diagnostics go to stderr. Exit codes: 0 on
-success, 2 for missing or invalid inputs, 1 for runtime failures.
+success, 2 for invalid inputs and for any path the system refuses (an
+OSError), 1 for numeric failures.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .data import LoadError, json_args, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
+from .data import json_build, json_field, load_dataset, load_json, load_labels, save_dataset, save_json
 from .data import save_labels, save_matrix, synth_generate
 from .model import Model, assign_clusters, fused_posterior, generate, model_inputs
 from .numgrad import NumericError
@@ -91,11 +92,7 @@ def cmd_synth(args) -> int:
     spec, where = load_json(args.spec, "synth spec"), f"synth spec {args.spec}"
     name = json_field(spec, "name", "str | None", where)
     spec.pop("name", None)
-    kwargs = json_args(spec, synth_generate, where)  # its own errors name the spec already
-    try:
-        dataset = synth_generate(**kwargs)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+    dataset = json_build(spec, synth_generate, where)
     if name:
         dataset.name = name
     manifest = save_dataset(dataset, args.out)
@@ -150,7 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
     except NumericError as exc:
         return _fail(str(exc), 1)

@@ -16,6 +16,7 @@ integer per line::
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import os
@@ -29,7 +30,7 @@ import numpy as np
 
 from .numgrad import as_tensor
 from .numgrad.params import write_atomic
-from .seeding import check_int, check_ints, check_real, finite, rng_for
+from .seeding import check_int, check_ints, check_real, is_int, is_real, rng_for
 
 MANIFEST_FILE = "manifest.json"
 # values per chunk of a CSV write: the vectorized writer's working set stays
@@ -37,11 +38,10 @@ MANIFEST_FILE = "manifest.json"
 _CSV_CHUNK = 4096
 LIKELIHOODS = ("bernoulli", "gaussian")
 FORMAT_VERSION = 1  # of descriptor.json and state.json
-# the Python types of each plain JSON kind; every kind is one of these, a list
-# of one (tuple[int, ...]), or either of those | None
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+# the test of each plain JSON kind; every kind is one of these, a list of one, or either | None
+_JSON_TESTS = dict(int=is_int, float=is_real, str=lambda v: isinstance(v, str), dict=lambda v: isinstance(v, dict))
 _JSON_KINDS = frozenset(
-    kind + none for base in _JSON_TYPES for kind in (base, f"tuple[{base}, ...]") for none in ("", " | None")
+    kind + none for base in _JSON_TESTS for kind in (base, f"tuple[{base}, ...]") for none in ("", " | None")
 )
 
 
@@ -55,6 +55,28 @@ def check_batch(x, dim, what) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"{what} must be (n, {dim}), got shape {np.shape(x)}")
     return arr
+
+
+def check_views(views, dims) -> list[np.ndarray]:
+    """``views`` as float64 arrays, one (n, d) matrix per d of ``dims``, all with the same n."""
+    if len(views) != len(dims):
+        raise ValueError(f"expected {len(dims)} views, got {len(views)} (all views are required)")
+    mats = [check_batch(x, d, f"view {v}") for v, (x, d) in enumerate(zip(views, dims))]
+    _same_rows(mats, range(len(mats)))
+    return mats
+
+
+def _same_rows(mats, names) -> int:
+    """The row count every one of ``mats`` has, else a ValueError names two views by ``names``."""
+    for name, mat in zip(names, mats):
+        if mat.shape[0] != mats[0].shape[0]:
+            raise ValueError(f"view {name!r} has {mat.shape[0]} rows, view {names[0]!r} has {mats[0].shape[0]}")
+    return mats[0].shape[0]
+
+
+def check_likelihood(likelihood) -> None:
+    if likelihood not in LIKELIHOODS:
+        raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
 
 
 @dataclass
@@ -71,10 +93,8 @@ class NormalizationRecord:
     scales: list[np.ndarray]
 
     def apply(self, matrices) -> list[np.ndarray]:
-        if len(matrices) != len(self.offsets):
-            raise ValueError(f"record covers {len(self.offsets)} views, got {len(matrices)}")
-        views = enumerate(zip(matrices, self.offsets, self.scales))
-        return [(check_batch(x, off.shape[0], f"view {v}") - off) * sc for v, (x, off, sc) in views]
+        mats = check_views(matrices, [off.shape[0] for off in self.offsets])
+        return [(x - off) * sc for x, off, sc in zip(mats, self.offsets, self.scales)]
 
 
 @dataclass
@@ -97,12 +117,9 @@ class MultiViewDataset:
             if not isinstance(mat, np.ndarray) or mat.ndim != 2:
                 got = f"shape {mat.shape}" if isinstance(mat, np.ndarray) else type(mat).__name__
                 raise ValueError(f"view {name!r} must be a 2-D numpy array, got {got}")
-        n = self.matrices[0].shape[0]
-        for name, mat in zip(self.view_names, self.matrices):
-            if mat.shape[0] != n:
-                raise ValueError(f"view {name!r} must be a (n, d) matrix")
+        n = _same_rows(self.matrices, self.view_names)
         if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must match sample count")
+            raise ValueError(f"dataset has {len(self.labels)} labels for {n} rows")
 
     @property
     def n(self) -> int:
@@ -167,9 +184,10 @@ def _load_matrix(path: Path, n: int, dim: int, view_name: str) -> np.ndarray:
     if mat is not None:
         return mat
     try:
-        with warnings.catch_warnings():
+        # an undecodable byte reads as \xNN, as in _find_bad_row: in a comment it is skipped with it
+        with open(path, errors="backslashreplace") as handle, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the shape check reports it
-            mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            mat = np.loadtxt(handle, delimiter=",", dtype=np.float64, ndmin=2)
         error = None if np.isfinite(mat).all() else "non-finite values"
     except OSError as exc:
         raise LoadError(f"view {view_name!r}: cannot read {path}: {exc}") from exc
@@ -320,7 +338,7 @@ def _parse_block(text: bytes, dim: int, out: np.ndarray):
     for cell in np.flatnonzero(slow).tolist():
         start = ends[cell - 1] + 1 if cell else 0
         out[cell] = float(text[start : ends[cell]])
-        if not finite(out[cell]):  # 1e999: np.loadtxt reads inf, which the error reports
+        if not np.isfinite(out[cell]):  # 1e999: np.loadtxt reads inf, which the error reports
             return None
     return cells
 
@@ -559,8 +577,7 @@ def json_fits(value, kind: str) -> bool:
     kind = kind.removesuffix(" | None")
     if kind.startswith("tuple["):
         return isinstance(value, list) and all(json_fits(item, kind[6:-6]) for item in value)
-    fits = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
-    return fits and (kind != "float" or finite(value))
+    return _JSON_TESTS[kind](value)
 
 
 def json_field(obj: dict, key: str, kind: str, where: str):
@@ -574,12 +591,11 @@ def json_field(obj: dict, key: str, kind: str, where: str):
     return obj.get(key)
 
 
-def json_args(obj: dict, target, where: str) -> dict:
-    """``obj`` as keyword arguments of ``target``: its fields are the
-    parameters annotated with a JSON kind, those without a default are
-    required, and each value must fit its annotation. An unknown field, a
-    missing one or a value of another kind raises a ``LoadError`` naming
-    ``where`` and the field."""
+def json_build(obj: dict, target, where: str):
+    """``target`` called with ``obj`` as keyword arguments, the parameters
+    annotated with a JSON kind; those without a default are required. A
+    field unknown, missing or not of its annotation's kind, or a ValueError
+    of ``target``, raises a ``LoadError`` naming ``where``."""
     params = [p for p in inspect.signature(target).parameters.values() if p.annotation in _JSON_KINDS]
     unknown = sorted(set(obj) - {p.name for p in params})
     if unknown:
@@ -587,7 +603,18 @@ def json_args(obj: dict, target, where: str) -> dict:
     missing = [p.name for p in params if p.default is p.empty and p.name not in obj]
     if missing:
         raise LoadError(f"{where} is missing the required fields {missing}")
-    return {p.name: json_field(obj, p.name, p.annotation, where) for p in params if p.name in obj}
+    args = {p.name: json_field(obj, p.name, p.annotation, where) for p in params if p.name in obj}
+    with _naming(where):
+        return target(**args)
+
+
+@contextlib.contextmanager
+def _naming(where: str):
+    """A ValueError of the block, raised again as a ``LoadError`` naming ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise LoadError(f"{where}: {exc}") from exc
 
 
 def check_format_version(obj: dict, where: str) -> None:
@@ -603,11 +630,11 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     where = f"manifest {manifest_path}"
     name = json_field(manifest, "name", "str", where)
     n = json_field(manifest, "n", "int", where)
-    if n < 1:
-        raise LoadError(f"{where}: n must be >= 1, got {n}")
     likelihood = json_field(manifest, "likelihood", "str | None", where)
-    if likelihood is not None and likelihood not in LIKELIHOODS:
-        raise LoadError(f"{where}: unknown likelihood {likelihood!r}")
+    with _naming(where):  # before any view is read
+        check_int("n", n, 1)
+        if likelihood is not None:
+            check_likelihood(likelihood)
     base = manifest_path.parent
     views = json_field(manifest, "views", "tuple[dict, ...]", where)
     if not views:
@@ -617,8 +644,8 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         at = f"{where} view {i}"
         view_name, path = json_field(view, "name", "str", at), json_field(view, "path", "str", at)
         dim = json_field(view, "dim", "int", at)
-        if dim < 1:
-            raise LoadError(f"{at}: dim must be >= 1, got {dim}")
+        with _naming(at):
+            check_int("dim", dim, 1)
         entries.append((view_name, base / path, dim))
     labels = json_field(manifest, "labels", "str | None", where)
     return MultiViewDataset(
@@ -635,8 +662,7 @@ def normalize(dataset: MultiViewDataset, kind: str) -> MultiViewDataset:
     standardization. Constant features map to 0 under either kind. Only a
     raw dataset with rows is taken; an already-normalized or empty one raises
     ValueError."""
-    if kind not in LIKELIHOODS:
-        raise ValueError(f"unknown normalization kind {kind!r}")
+    check_likelihood(kind)
     if dataset.normalization is not None:
         raise ValueError(f"dataset {dataset.name!r} is already normalized")
     if dataset.n == 0:
@@ -687,8 +713,7 @@ def synth_generate(
     distance equals ``separation`` (all zero when separation is 0). With
     ``return_latent`` the latent draws and means come back too, for tests.
     """
-    if likelihood not in LIKELIHOODS:
-        raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
+    check_likelihood(likelihood)
     counts = {"n_clusters": n_clusters, "n_views": n_views, "n": n, "latent_dim": latent_dim}
     n_clusters, n_views, n, latent_dim = (check_int(name, value, 1) for name, value in counts.items())
     view_dims = check_ints("view_dims", view_dims, 1)

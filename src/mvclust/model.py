@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FORMAT_VERSION, LIKELIHOODS, LoadError, NormalizationRecord, check_batch, check_format_version
-from .data import MultiViewDataset, json_args, json_field, load_json, save_json
+from .data import FORMAT_VERSION, LoadError, MultiViewDataset, NormalizationRecord, check_batch, check_format_version
+from .data import check_likelihood, check_views, json_build, json_field, load_json, save_json
 from .numgrad import Graph, ParamStore, as_tensor, forward
 from .seeding import check_int, check_ints, rng_for
 
@@ -67,8 +67,7 @@ class ModelConfig:
         if not self.view_dims:
             raise ValueError("view_dims must name at least one view")
         check_architecture(self)
-        if self.likelihood not in LIKELIHOODS:
-            raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {self.likelihood!r}")
+        check_likelihood(self.likelihood)
 
     @property
     def n_views(self) -> int:
@@ -349,11 +348,7 @@ class Model:
         path = directory / DESCRIPTOR_FILE
         descriptor, where = load_json(path, "model descriptor"), f"model descriptor {path}"
         check_format_version(descriptor, where)
-        args = json_args(json_field(descriptor, "model", "dict", where), ModelConfig, where)
-        try:
-            config = ModelConfig(**args)
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"{where} is invalid: {exc}") from None
+        config = json_build(json_field(descriptor, "model", "dict", where), ModelConfig, where)
         normalization = record = json_field(descriptor, "normalization", "dict | None", where)
         if record is not None:
             kind, at = "tuple[tuple[float, ...], ...]", f"{where} normalization"
@@ -374,17 +369,6 @@ class Model:
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def _check_views(model: Model, views) -> list[np.ndarray]:
-    """One (n, d_v) batch per view of the model, all with the same n."""
-    m = model.config.n_views
-    if len(views) != m:
-        raise ValueError(f"expected {m} views, got {len(views)} (all views are required)")
-    mats = [check_batch(views[v], model.config.view_dims[v], f"view {v}") for v in range(m)]
-    if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
-        raise ValueError("all views must have the same number of rows")
-    return mats
 
 
 def model_inputs(model: Model, dataset: MultiViewDataset) -> list[np.ndarray]:
@@ -458,7 +442,7 @@ def fused_posterior(model: Model, views) -> LatentPosterior:
     """Encode every view and fuse; ``views`` is one matrix per view. Each
     view's encoder graph runs over the chunks, keeping only its mean and
     log-variance, then the ``fusion_nodes`` graph under ``fusion_logits``."""
-    mats = _check_views(model, views)
+    mats = check_views(views, model.config.view_dims)
     stats = [_chunked(model.encoder_graph(v), {"x": x}, model.params, ["mu", "logvar"]) for v, x in enumerate(mats)]
     per_view = {f"{k}{v}": a for v, pair in enumerate(stats) for k, a in zip(("mu", "logvar"), pair)}
     g, mu, var = _fusion_graph(model.config.n_views)
@@ -480,7 +464,7 @@ def elbo_terms(model: Model, views, noise) -> dict:
     L >= 1, which sets L; returns per-sample term arrays and the scalar
     batch-mean ELBO under keys recon/gauss_kl/cat_kl/entropy/elbo_samples/elbo.
     Bernoulli models require data in [0, 1]."""
-    mats = _check_views(model, views)
+    mats = check_views(views, model.config.view_dims)
     if mats[0].shape[0] == 0:
         raise ValueError("the objective needs at least one row, got an empty batch")
     if model.config.likelihood == "bernoulli":

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..seeding import is_real
 from .graph import as_tensor
 
 _MAGIC = b"NGPS"
@@ -127,11 +128,7 @@ class ParamStore:
         element it computes ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*(g*g)`` and
         ``x - (lr*(m/c1)) / (sqrt(v/c2)+eps)`` under the ``ADAM_*`` constants.
         """
-        try:  # an infinite rate would turn every parameter into NaN
-            finite = math.isfinite(learning_rate)
-        except OverflowError:  # an int beyond float64
-            finite = False
-        if not (finite and learning_rate > 0):
+        if not (is_real(learning_rate) and learning_rate > 0):  # an infinite rate would turn every parameter into NaN
             raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
         t = self.step + 1
         c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t

@@ -1,5 +1,5 @@
 """Deterministic RNG streams derived from one master seed, and the two rules
-every number a caller passes follows: ``check_int`` and ``check_real``."""
+every number a caller or a JSON file passes follows: ``is_int`` and ``is_real``."""
 
 from __future__ import annotations
 
@@ -17,10 +17,22 @@ def _tag_value(tag):
     raise TypeError(f"rng tag must be int or str, got {type(tag).__name__}")
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is ``is_int`` or a float or numpy float, and a finite float64."""
+    try:
+        return (is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
+    except OverflowError:  # an int beyond float64
+        return False
+
+
 def check_int(name: str, value, lowest=None) -> int:
-    """``value`` as an int of at least ``lowest``; it must be an int or a
-    numpy integer, and a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int of at least ``lowest``, once ``is_int``."""
+    if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return _at_least(name, int(value), lowest)
 
@@ -33,21 +45,12 @@ def check_ints(name: str, value, lowest=None) -> tuple[int, ...]:
 
 
 def check_real(name: str, value, lowest=None, above=None):
-    """``value`` once it is a finite int, float or numpy real (not a bool)
-    of at least ``lowest`` and greater than ``above``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or not finite(value):
+    """``value`` once it is ``is_real``, at least ``lowest`` and greater than ``above``."""
+    if not is_real(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if above is not None and value <= above:
         raise ValueError(f"{name} must be > {above}, got {value}")
     return _at_least(name, value, lowest)
-
-
-def finite(number) -> bool:
-    """Whether a real number is a finite float64."""
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int beyond float64
-        return False
 
 
 def _at_least(name, value, lowest):

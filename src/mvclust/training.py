@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .data import FORMAT_VERSION, LoadError, MultiViewDataset, batch_iter, check_format_version, json_args
+from .data import FORMAT_VERSION, LoadError, MultiViewDataset, batch_iter, check_format_version, json_build
 from .data import json_field, load_json, normalize, save_json
 from .model import Model, ModelConfig, _enc, assign_clusters, check_architecture, decoder_nodes, encoder_nodes
 from .model import fused_posterior
@@ -65,12 +65,7 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         """A JSON object of fields; anything else raises a ``LoadError`` naming the file."""
-        where = f"config file {path}"
-        args = json_args(load_json(path, "config file"), cls, where)
-        try:
-            return cls(**args)
-        except ValueError as exc:
-            raise LoadError(f"{where}: {exc}") from None
+        return json_build(load_json(path, "config file"), cls, f"config file {path}")
 
     def learning_rate_at(self, epoch: int) -> float:
         return self.learning_rate * LR_DECAY ** (epoch // DECAY_EVERY)

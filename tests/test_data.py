@@ -22,8 +22,9 @@ from mvclust import (
     synth_generate,
 )
 from mvclust import data as data_mod
-from mvclust.data import MultiViewDataset, save_matrix
-from mvclust.seeding import check_seed, rng_for
+from mvclust.data import MultiViewDataset, json_fits, save_matrix
+from mvclust.model import ModelConfig
+from mvclust.seeding import check_int, check_real, check_seed, rng_for
 
 
 def _write_dataset(tmp_path, matrices, labels=None, n=None, likelihood="gaussian"):
@@ -88,6 +89,12 @@ def test_a_byte_the_text_encoding_cannot_decode_is_named_by_its_cell(tmp_path):
     assert str(caught.value) == f"view 'v0': cell {cell} at {tmp_path / 'v0.csv'} row 1 column 1 is not a finite number"
 
 
+def test_a_byte_the_text_encoding_cannot_decode_in_a_comment_is_skipped_with_it(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"1,2 # \xa0\n3,4\n")
+    assert np.array_equal(data_mod._load_matrix(path, 2, 2, "v"), [[1, 2], [3, 4]])
+
+
 def test_ragged_csv_names_both_rows_counted_from_0(tmp_path):
     # the blank line is skipped, as the reader skips it, but keeps its number
     path = _write_dataset(tmp_path, [np.zeros((2, 2))])
@@ -106,11 +113,38 @@ def test_labels_file_of_another_count_names_both_counts(tmp_path):
     assert str(caught.value) == f"labels file {tmp_path / 'labels.txt'} has 2 entries, expected 12"
 
 
-def test_manifest_naming_an_unknown_likelihood_is_refused(tmp_path):
-    path = _write_dataset(tmp_path, [np.zeros((3, 2))], likelihood="poisson")
-    with pytest.raises(LoadError) as caught:
-        load_dataset(path)
-    assert str(caught.value) == f"manifest {path}: unknown likelihood 'poisson'"
+@pytest.mark.parametrize("site", ["manifest", "normalize", "synth", "model-config"])
+@pytest.mark.parametrize("likelihood", ["poisson", "Gaussian"])
+def test_every_likelihood_meets_one_check(tmp_path, site, likelihood):
+    # a manifest's likelihood and the same value in code get the same message
+    mat = np.zeros((3, 2))
+    manifest = _write_dataset(tmp_path, [mat], likelihood=likelihood)
+    call, prefix = {
+        "manifest": (lambda: load_dataset(manifest), f"manifest {manifest}: "),
+        "normalize": (lambda: normalize(MultiViewDataset("t", ["a"], [mat]), likelihood), ""),
+        "synth": (lambda: synth_generate(2, 1, 10, 2, 3.0, (2,), 0, likelihood=likelihood), ""),
+        "model-config": (lambda: ModelConfig((2,), 2, 2, likelihood), ""),
+    }[site]
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == f"{prefix}likelihood must be one of ('bernoulli', 'gaussian'), got {likelihood!r}"
+    assert isinstance(caught.value, LoadError) == (site == "manifest")
+
+
+@pytest.mark.parametrize(
+    "value", [0, -3, 10**400, np.int64(3), 2.5, 2.0, -0.0, np.float32(1.5), float("nan"), float("inf"),
+              np.float64("-inf"), True, False, None, "3", [1], {}],
+    ids=repr,
+)
+def test_a_json_number_kind_is_the_rule_code_meets(value):
+    # json_fits' int and float kinds say yes exactly where check_int and check_real do
+    for kind, check in (("int", check_int), ("float", check_real)):
+        try:
+            check("x", value)
+            passes = True
+        except ValueError:
+            passes = False
+        assert json_fits(value, kind) == passes, kind
 
 
 def test_labels_with_crlf_line_ends_read(tmp_path):
@@ -298,6 +332,16 @@ def test_synth_of_one_cluster_puts_its_mean_at_zero():
     ds, info = synth_generate(1, 2, 30, 3, separation=5.0, view_dims=(4, 3), seed=2, return_latent=True)
     assert np.all(info["means"] == 0.0) and info["means"].shape == (1, 3)
     assert np.all(ds.labels == 0)
+
+
+def test_a_dataset_names_both_row_counts_of_views_that_differ():
+    with pytest.raises(ValueError, match=r"^view 'b' has 4 rows, view 'a' has 3$"):
+        MultiViewDataset(name="x", view_names=["a", "b"], matrices=[np.zeros((3, 2)), np.zeros((4, 2))])
+
+
+def test_a_dataset_names_both_counts_of_labels_for_another_row_count():
+    with pytest.raises(ValueError, match=r"^dataset has 4 labels for 3 rows$"):
+        MultiViewDataset(name="x", view_names=["a"], matrices=[np.zeros((3, 2))], labels=np.zeros(4, dtype=int))
 
 
 @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
@@ -695,3 +739,18 @@ def test_a_block_of_many_exponent_cells_goes_to_loadtxt(tmp_path):
     np.savetxt(tmp_path / "m.csv", mat, delimiter=",")
     assert data_mod._read_csv(tmp_path / "m.csv", 20, 10) is None
     assert data_mod._load_matrix(tmp_path / "m.csv", 20, 10, "v0").tobytes() == mat.tobytes()
+
+
+def test_a_line_longer_than_a_block_reads_as_loadtxt(tmp_path):
+    # each row is about 1.05 blocks, so some block holds no line end and waits for the next
+    mat = np.random.default_rng(9).standard_normal((3, 7000))
+    save_matrix(tmp_path / "m.csv", mat)
+    assert (tmp_path / "m.csv").stat().st_size / 3 > data_mod._CSV_BLOCK
+    got = data_mod._read_csv(tmp_path / "m.csv", *mat.shape)
+    assert got.tobytes() == np.loadtxt(tmp_path / "m.csv", delimiter=",", ndmin=2).tobytes() == mat.tobytes()
+
+
+@pytest.mark.parametrize("tag", [1.5, None, b"x"], ids=repr)
+def test_an_rng_tag_must_be_an_int_or_a_string(tag):
+    with pytest.raises(TypeError, match=f"^rng tag must be int or str, got {type(tag).__name__}$"):
+        rng_for(0, "synth", tag)

@@ -316,6 +316,29 @@ def test_unbound_input_and_param():
         forward(g, {"x": np.ones(2)}, ParamStore())
 
 
+def test_an_unknown_input_and_an_unknown_loss_are_named():
+    g = Graph()
+    g.square(g.input("x"), name="vec")
+    g.sum("vec", name="loss")
+    with pytest.raises(GraphError, match=r"^unknown graph inputs: \['y', 'z'\]$"):
+        forward(g, {"x": np.ones(2), "z": np.ones(2), "y": np.ones(2)})
+    values = forward(g, {"x": np.ones(2)})
+    with pytest.raises(GraphError, match="^unknown loss value 'lost'$"):
+        backward(g, values, "lost", ParamStore())
+
+
+@pytest.mark.parametrize(
+    "axis, stop, why",
+    [(2, 1, r"slice axis 2 out of range for shape \(2, 3\)"), (1, 4, "slice bounds exceed extent 3")],
+    ids=["axis", "stop"],
+)
+def test_a_slice_out_of_bounds_names_the_node(axis, stop, why):
+    g = Graph()
+    g.slice(g.input("x"), axis=axis, start=0, stop=stop, name="cut")
+    with pytest.raises(GraphError, match=rf"^node 'cut' \(slice\): {why}$"):
+        forward(g, {"x": np.ones((2, 3))})
+
+
 def test_loss_must_be_scalar():
     g = Graph()
     g.square(g.input("x"), name="vec")

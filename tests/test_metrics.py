@@ -98,6 +98,15 @@ def test_length_mismatch_raises():
             fn([0, 1], [0, 1, 2])
 
 
+@pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], 3], ids=["2-d", "0-d"])
+def test_labels_must_be_one_dimensional(labels):
+    for fn in (accuracy, nmi, ari, purity):
+        with pytest.raises(ValueError, match="^pred must be a 1-D label sequence$"):
+            fn(labels, [0, 1])
+        with pytest.raises(ValueError, match="^true must be a 1-D label sequence$"):
+            fn([0, 1], labels)
+
+
 def test_empty_labels_raise():
     for fn in (accuracy, nmi, purity):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from mvclust import (
     responsibilities,
 )
 from mvclust import model as model_module
-from mvclust.data import MultiViewDataset, normalize
+from mvclust.data import MultiViewDataset, NormalizationRecord, normalize
 from mvclust.model import _INFER_CHUNK, BERNOULLI_EPS, LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, fusion_nodes
 
 from helpers import gamma_direct, mixture_moments, mixture_params, random_views, randomized_model, softmax, tiny_config
@@ -546,13 +546,33 @@ def test_elbo_terms_rejects_an_empty_batch(kind):
         elbo_terms(model, [np.zeros((0, 4)), np.zeros((0, 5))], np.zeros((1, 0, 2)))
 
 
-@pytest.mark.parametrize("score", [fused_posterior, lambda model, views: elbo_terms(model, views, np.zeros((1, 2, 2)))])
-def test_fusion_and_elbo_require_all_views_of_one_length(score):
+# every call that takes one matrix per view of a (4, 5)-dim model
+_RECORD = NormalizationRecord([np.zeros(4), np.zeros(5)], [np.ones(4), np.ones(5)])
+_VIEW_LIST_SITES = {
+    "fused-posterior": lambda model, views: fused_posterior(model, views),
+    "assign-clusters": lambda model, views: assign_clusters(model, views),
+    "elbo-terms": lambda model, views: elbo_terms(model, views, np.zeros((1, 2, 2))),
+    "record-apply": lambda model, views: _RECORD.apply(views),
+}
+
+
+@pytest.mark.parametrize("site", _VIEW_LIST_SITES)
+@pytest.mark.parametrize(
+    "views, message",
+    [
+        ([np.zeros((2, 4))], "expected 2 views, got 1 (all views are required)"),
+        ([np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 3))], "expected 2 views, got 3 (all views are required)"),
+        ([np.zeros((2, 4)), np.zeros((2, 3))], "view 1 must be (n, 5), got shape (2, 3)"),
+        ([np.zeros(4), np.zeros((2, 5))], "view 0 must be (n, 4), got shape (4,)"),
+        ([np.zeros((4, 4)), np.zeros((5, 5))], "view 1 has 5 rows, view 0 has 4"),
+    ],
+    ids=["fewer", "more", "other-dim", "1-d", "other-rows"],
+)
+def test_every_view_list_meets_one_check(site, views, message):
     model = zero_model(tiny_config("gaussian"))
-    with pytest.raises(ValueError, match=r"expected 2 views, got 1 \(all views are required\)"):
-        score(model, [np.zeros((2, 4))])
-    with pytest.raises(ValueError, match="same number of rows"):
-        score(model, [np.zeros((2, 4)), np.zeros((3, 5))])
+    with pytest.raises(ValueError) as caught:
+        _VIEW_LIST_SITES[site](model, views)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("seed", range(5))
